@@ -1,18 +1,19 @@
 //! `fleet_scale` — the parallel-evaluation payoff gate.
 //!
 //! Runs the same fleet exploration twice — serial dispatch (`threads = 1`)
-//! and parallel dispatch over the persistent pool — and demands:
+//! and parallel dispatch over the `mcmap-eval` fan-out — and demands:
 //!
 //! 1. **bit-identical Pareto fronts** (always asserted: the thread budget
 //!    is a pure speed knob);
 //! 2. **>2× wall speedup** of parallel over serial — asserted whenever the
-//!    host can physically deliver it (persistent-pool capacity ≥ 4
+//!    host can physically deliver it (`pool_capacity()` ≥ 4
 //!    participants). On smaller hosts the speedup is *reported, not
-//!    asserted* — the pool has no helpers there, "parallel" degrades to
-//!    the same inline loop as serial, and a measured ≈1.0× is the correct,
-//!    honest reading (the eval_engine bench takes the same stance). The
-//!    gate status is recorded in the JSON so CI on a many-core host
-//!    enforces the 2× bar while a laptop run stays green and legible.
+//!    asserted* — on one core the budget has no spare thread, "parallel"
+//!    degrades to the same inline loop as serial, and a measured ≈1.0× is
+//!    the correct, honest reading (the eval_engine bench takes the same
+//!    stance). The gate status is recorded in the JSON so CI on a
+//!    many-core host enforces the 2× bar while a laptop run stays green
+//!    and legible.
 //!
 //! Writes `results/BENCH_scale.json` (override the directory with
 //! `MCMAP_BENCH_OUT`), including both legs' full `EvalStats` — with the
@@ -22,7 +23,7 @@
 //! Budget knobs: `MCMAP_FLEET` (default `fleet-med`), `MCMAP_POP` (default
 //! 8), `MCMAP_GENS` (default 2), `MCMAP_THREADS` (default 4),
 //! `MCMAP_SCENARIO_THREADS` (default 2 in the parallel leg — batch- and
-//! scenario-level fan-out share the pool's thread budget, so composing
+//! scenario-level fan-out share one core budget, so composing
 //! them is safe by construction).
 
 use criterion::{criterion_group, criterion_main, Criterion};

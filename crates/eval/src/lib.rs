@@ -9,11 +9,13 @@
 //! *pure function* of the candidate, which buys two big levers:
 //!
 //! * **Batch parallelism** ([`parallel_map`], [`EvalEngine::evaluate_batch`])
-//!   — a population is spread across a `std::thread` worker pool. Workers
-//!   claim candidates through an atomic cursor (natural load balancing for
-//!   evaluations of very different cost) and results are gathered **by
-//!   index**, so the output is bit-identical regardless of the thread
-//!   count: `threads` is purely a speed knob.
+//!   — a population is spread over the calling thread plus scoped worker
+//!   threads, as many as a process-wide core budget allows (nested and
+//!   concurrent maps share it, and run inline once it is spent).
+//!   Participants claim candidates through an atomic cursor (natural load
+//!   balancing for evaluations of very different cost) and results are
+//!   gathered **by index**, so the output is bit-identical regardless of
+//!   the thread count: `threads` is purely a speed knob.
 //! * **Memoization** ([`ShardedCache`]) — results are cached under a
 //!   128-bit content hash of (genome, evaluation context), where the
 //!   context fingerprints the application set, the architecture, and the

@@ -1,41 +1,30 @@
-//! The deterministic worker pool.
+//! The deterministic fan-out.
 //!
-//! Since PR 10 the pool is **persistent**: a process-wide set of helper
-//! threads (one per spare core) is spawned lazily on first use and then
-//! reused by every [`parallel_map`] call, so a DSE that evaluates thousands
-//! of small batches no longer pays a thread spawn/join per batch. Work is
-//! claimed in **size-adaptive chunks** through a shared atomic cursor and
-//! results are written straight into their output slots (no per-worker
-//! bucket allocation, no gather pass).
+//! [`parallel_map`] runs the calling thread plus up to `threads − 1`
+//! `std::thread::scope` workers. Participants claim size-adaptive chunks
+//! of the input through one atomic cursor, each returns its `(start,
+//! values)` chunks, and the caller gathers them in input order: output
+//! position `i` always holds `f(&items[i])`, whichever thread computed it,
+//! so the result is the same for any thread count.
 //!
-//! The pool is also the process's **shared thread budget**: batch-level
-//! parallelism (`--threads`) and scenario-level parallelism
-//! (`--scenario-threads`) both borrow helpers from the same fixed set, so
-//! nested fan-out *composes* instead of oversubscribing — an inner
-//! `parallel_map` issued from a helper that finds every other helper busy
-//! simply runs inline on its caller. Deadlock is impossible by
-//! construction: the submitting thread always participates in its own run,
-//! so every run completes even when zero helpers are free.
-
-// The workspace denies `unsafe_code`; this module is the single, narrowly
-// scoped exception. Running *borrowed* closures on *persistent* threads
-// requires erasing the closure's lifetime (the same reason rayon's core is
-// unsafe) — the alternative, spawning scoped threads per batch, is exactly
-// the overhead this pool exists to eliminate. Every unsafe block carries
-// its invariant; the quiesce protocol in `run_with_pool` is the proof
-// obligation they all lean on.
-#![allow(unsafe_code)]
+//! Spawned workers draw on one process-wide **core budget** of
+//! `available_parallelism() − 1` spare threads. A call takes what it can
+//! get, up to `threads − 1` permits, and returns them when it ends, also
+//! when it unwinds. A call that gets no permit runs inline. So nested
+//! fan-out (batch-level `--threads` around scenario-level
+//! `--scenario-threads`) and concurrent callers (the job server's workers)
+//! share the cores instead of oversubscribing them, and no call ever waits
+//! for a permit, so none can deadlock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// What one pool participant (the caller or a helper) contributed to a
-/// [`parallel_map_timed`] run: how long it spent inside the mapped
-/// function's claim loop and how many items it completed. The per-worker
-/// busy/wall ratio is the scatter-loss diagnostic surfaced through
-/// `EvalStats` — a parallel batch whose helpers show near-zero busy time
-/// paid the fan-out for nothing.
+/// What one participant (the caller or a spawned worker) contributed to a
+/// [`parallel_map_timed`] run: how long it spent inside the claim loop and
+/// how many items it completed. The per-worker busy/wall ratio is the
+/// scatter-loss diagnostic surfaced through `EvalStats` — a parallel batch
+/// whose workers show near-zero busy time paid the fan-out for nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerLoad {
     /// Nanoseconds this participant spent claiming and evaluating items.
@@ -44,155 +33,40 @@ pub struct WorkerLoad {
     pub items: u64,
 }
 
-/// A lifetime-erased claim loop submitted to the persistent pool.
-///
-/// Safety contract: the submitting [`run_with_pool`] call never returns —
-/// not even by unwinding — before the ticket is retired (`done` set,
-/// removed from the queue, and `active == 0`), so the borrowed closure and
-/// everything it captures strictly outlive every helper's use of it.
-struct Ticket {
-    /// The type-erased claim loop. Helpers call it exactly like the caller
-    /// does; the closure's own atomic cursor partitions the work.
-    work: &'static (dyn Fn() + Sync),
-    /// Helpers still wanted; decremented (under the pool lock) when a
-    /// helper joins, so a run never gets more participants than requested.
-    wanted: usize,
-    /// Helpers currently inside `work` (guarded by the pool lock).
-    active: usize,
-    /// Set (under the pool lock) when the caller's own claim loop drained
-    /// the cursor: late helpers must skip the ticket instead of joining.
-    done: bool,
+/// The process-wide count of spare threads not lent to any running call.
+fn spare_threads() -> &'static AtomicUsize {
+    static SPARE: OnceLock<AtomicUsize> = OnceLock::new();
+    SPARE.get_or_init(|| AtomicUsize::new(hardware_threads() - 1))
 }
 
-#[derive(Default)]
-struct PoolState {
-    queue: Vec<Arc<Mutex<Ticket>>>,
+fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-struct Pool {
-    state: Mutex<PoolState>,
-    /// Signalled when work is enqueued.
-    work_cv: Condvar,
-    /// Signalled when a helper leaves a ticket (quiesce wake-up).
-    quiesce_cv: Condvar,
-    /// Number of helper threads (spare cores; the caller is the +1).
-    helpers: usize,
+/// Up to `wanted` threads borrowed from a budget, given back on drop.
+struct Permits<'a> {
+    budget: &'a AtomicUsize,
+    count: usize,
 }
 
-impl Pool {
-    fn global() -> &'static Pool {
-        static POOL: OnceLock<Pool> = OnceLock::new();
-        POOL.get_or_init(|| {
-            // `MCMAP_POOL_HELPERS` overrides the helper count (read once,
-            // at first use): CI uses it to exercise the helper machinery
-            // on single-core runners, where the default would be zero.
-            let helpers = std::env::var("MCMAP_POOL_HELPERS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map_or(1, |n| n.get())
-                        .saturating_sub(1)
-                });
-            let pool = Pool {
-                state: Mutex::new(PoolState::default()),
-                work_cv: Condvar::new(),
-                quiesce_cv: Condvar::new(),
-                helpers,
-            };
-            for i in 0..pool.helpers {
-                std::thread::Builder::new()
-                    .name(format!("mcmap-eval-{i}"))
-                    .spawn(helper_loop)
-                    .expect("spawn pool helper");
-            }
-            pool
-        })
+impl<'a> Permits<'a> {
+    fn take(budget: &'a AtomicUsize, wanted: usize) -> Self {
+        let (Ok(free) | Err(free)) =
+            budget.fetch_update(Ordering::AcqRel, Ordering::Acquire, |free| {
+                Some(free - wanted.min(free))
+            });
+        Permits {
+            budget,
+            count: wanted.min(free),
+        }
     }
 }
 
-/// A pool helper: block until a ticket wants more participants, run its
-/// claim loop, repeat. Helpers are daemon threads — they hold no resources
-/// beyond their stack, so process exit just abandons them.
-fn helper_loop() {
-    let pool = Pool::global();
-    loop {
-        let ticket: Arc<Mutex<Ticket>> = {
-            let mut state = pool.state.lock().expect("pool lock");
-            loop {
-                let claimed = state.queue.iter().find_map(|t| {
-                    let mut g = t.lock().expect("ticket lock");
-                    if !g.done && g.wanted > 0 {
-                        g.wanted -= 1;
-                        g.active += 1;
-                        Some(Arc::clone(t))
-                    } else {
-                        None
-                    }
-                });
-                match claimed {
-                    Some(t) => break t,
-                    None => state = pool.work_cv.wait(state).expect("pool lock"),
-                }
-            }
-        };
-        // The claim loop catches its own panics (see `run_with_pool`), so
-        // nothing can unwind through the helper and kill the pool.
-        let work = ticket.lock().expect("ticket lock").work;
-        work();
-        let _state = pool.state.lock().expect("pool lock");
-        ticket.lock().expect("ticket lock").active -= 1;
-        pool.quiesce_cv.notify_all();
+impl Drop for Permits<'_> {
+    fn drop(&mut self) {
+        self.budget.fetch_add(self.count, Ordering::AcqRel);
     }
 }
-
-/// Runs `claim` on the calling thread plus up to `helpers_wanted` pool
-/// helpers, returning only when every participant has left the closure.
-/// `claim` must be idempotent across participants (internally partitioned,
-/// e.g. by an atomic cursor) and must not panic — wrap panicking work in
-/// `catch_unwind` and ferry the payload out by side channel.
-fn run_with_pool(helpers_wanted: usize, claim: &(dyn Fn() + Sync)) {
-    let pool = Pool::global();
-    let helpers_wanted = helpers_wanted.min(pool.helpers);
-    if helpers_wanted == 0 {
-        claim();
-        return;
-    }
-    // SAFETY: the ticket is retired below — `done` set, dequeued, and
-    // `active` drained to zero — before this function returns, and `claim`
-    // itself cannot unwind past us (it catches), so no helper can touch
-    // `claim` or its captures after their true lifetime ends.
-    let work: &'static (dyn Fn() + Sync) = unsafe { std::mem::transmute(claim) };
-    let ticket = Arc::new(Mutex::new(Ticket {
-        work,
-        wanted: helpers_wanted,
-        active: 0,
-        done: false,
-    }));
-    {
-        let mut state = pool.state.lock().expect("pool lock");
-        state.queue.push(Arc::clone(&ticket));
-    }
-    pool.work_cv.notify_all();
-
-    claim();
-
-    let mut state = pool.state.lock().expect("pool lock");
-    ticket.lock().expect("ticket lock").done = true;
-    state.queue.retain(|t| !Arc::ptr_eq(t, &ticket));
-    while ticket.lock().expect("ticket lock").active > 0 {
-        state = pool.quiesce_cv.wait(state).expect("pool lock");
-    }
-}
-
-/// One output slot, written exactly once by whichever participant claims
-/// its index.
-struct Slot<V>(std::cell::UnsafeCell<Option<V>>);
-
-/// SAFETY: the atomic claim cursor hands every index to exactly one
-/// participant, so each slot has a unique writer; the caller reads the
-/// slots only after every participant has quiesced.
-unsafe impl<V: Send> Sync for Slot<V> {}
 
 /// The chunk size of one cursor claim: coarse enough that cheap items
 /// amortize the atomic traffic, fine enough that expensive items cannot
@@ -202,19 +76,80 @@ fn chunk_size(items: usize, participants: usize) -> usize {
     (items / (participants * 8)).clamp(1, 1024)
 }
 
-/// Maps `f` over `items` on the calling thread plus pool helpers (up to
+/// Maps `f` over `items` on the calling thread plus exactly `helpers`
+/// scoped workers (none: inline). Entry 0 of the ledger is the caller's.
+///
+/// A panic in `f` is resumed on the calling thread with its payload once
+/// every worker has stopped.
+fn fan_out<T, V, F>(items: &[T], helpers: usize, f: &F) -> (Vec<V>, Vec<WorkerLoad>)
+where
+    T: Sync,
+    V: Send,
+    F: Fn(&T) -> V + Sync,
+{
+    if helpers == 0 {
+        let t0 = Instant::now();
+        let out: Vec<V> = items.iter().map(f).collect();
+        let load = WorkerLoad {
+            busy_nanos: t0.elapsed().as_nanos() as u64,
+            items: items.len() as u64,
+        };
+        return (out, vec![load]);
+    }
+
+    let cursor = AtomicUsize::new(0);
+    let chunk = chunk_size(items.len(), helpers + 1);
+    let claim = || {
+        let t0 = Instant::now();
+        let mut chunks: Vec<(usize, Vec<V>)> = Vec::new();
+        let mut completed = 0u64;
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= items.len() {
+                break;
+            }
+            let end = (start + chunk).min(items.len());
+            chunks.push((start, items[start..end].iter().map(f).collect()));
+            completed += (end - start) as u64;
+        }
+        let load = WorkerLoad {
+            busy_nanos: t0.elapsed().as_nanos() as u64,
+            items: completed,
+        };
+        (chunks, load)
+    };
+    let parts = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..helpers).map(|_| scope.spawn(claim)).collect();
+        let mut parts = vec![claim()];
+        for worker in workers {
+            match worker.join() {
+                Ok(part) => parts.push(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        parts
+    });
+
+    let loads = parts.iter().map(|(_, load)| *load).collect();
+    let mut chunks: Vec<(usize, Vec<V>)> = parts.into_iter().flat_map(|(c, _)| c).collect();
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    let out = chunks.into_iter().flat_map(|(_, values)| values).collect();
+    (out, loads)
+}
+
+/// Maps `f` over `items` on the calling thread plus spawned workers (up to
 /// `threads` participants total) and returns the results in input order.
 ///
 /// Work is claimed through a shared atomic cursor in size-adaptive chunks,
-/// so expensive items do not serialize behind a bad static partition. Each
-/// claimed result is written directly into its output slot, which makes the
-/// output **independent of scheduling**: for a pure `f`, any thread count
+/// so expensive items do not serialize behind a bad static partition.
+/// Results are gathered by input position, which makes the output
+/// **independent of scheduling**: for a pure `f`, any thread count
 /// produces the same vector.
 ///
 /// `threads == 0` means "one per available core"; the effective count is
-/// also clamped to `items.len()`. With one effective participant — or when
-/// every pool helper is busy, e.g. inside a nested `parallel_map` — the map
-/// runs inline, without any dispatch.
+/// also clamped to `items.len()` and to the spare threads left in the core
+/// budget. With one effective participant — e.g. inside a nested
+/// `parallel_map` that finds the budget spent — the map runs inline.
 ///
 /// # Panics
 ///
@@ -248,78 +183,8 @@ where
     F: Fn(&T) -> V + Sync,
 {
     let threads = effective_threads(threads, items.len());
-    if threads <= 1 {
-        let t0 = Instant::now();
-        let out: Vec<V> = items.iter().map(&f).collect();
-        let load = WorkerLoad {
-            busy_nanos: t0.elapsed().as_nanos() as u64,
-            items: items.len() as u64,
-        };
-        return (out, vec![load]);
-    }
-
-    let slots: Vec<Slot<V>> = std::iter::repeat_with(|| Slot(std::cell::UnsafeCell::new(None)))
-        .take(items.len())
-        .collect();
-    let loads: Vec<Slot<WorkerLoad>> =
-        std::iter::repeat_with(|| Slot(std::cell::UnsafeCell::new(None)))
-            .take(threads)
-            .collect();
-    let cursor = AtomicUsize::new(0);
-    let participant = AtomicUsize::new(0);
-    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let chunk = chunk_size(items.len(), threads);
-
-    let claim = || {
-        // Participants beyond the requested count contribute nothing; the
-        // pool never hands out more helpers than `wanted`, so this is just
-        // belt and braces for the load ledger's bound.
-        let me = participant.fetch_add(1, Ordering::Relaxed);
-        let t0 = Instant::now();
-        let mut completed = 0u64;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= items.len() {
-                break;
-            }
-            let end = (start + chunk).min(items.len());
-            for i in start..end {
-                let v = f(&items[i]);
-                // SAFETY: index `i` was claimed by exactly this
-                // participant (unique cursor claim), so this is the slot's
-                // only writer; reads happen after quiescence.
-                unsafe { *slots[i].0.get() = Some(v) };
-                completed += 1;
-            }
-        }));
-        if let Err(payload) = result {
-            let mut slot = panicked.lock().expect("panic slot");
-            slot.get_or_insert(payload);
-        }
-        if me < threads {
-            let load = WorkerLoad {
-                busy_nanos: t0.elapsed().as_nanos() as u64,
-                items: completed,
-            };
-            // SAFETY: participant indices are unique, so `me` writes its
-            // own ledger slot exactly once.
-            unsafe { *loads[me].0.get() = Some(load) };
-        }
-    };
-    run_with_pool(threads - 1, &claim);
-
-    if let Some(payload) = panicked.into_inner().expect("panic slot") {
-        std::panic::resume_unwind(payload);
-    }
-    let out = slots
-        .into_iter()
-        .map(|s| s.0.into_inner().expect("every index claimed exactly once"))
-        .collect();
-    let loads = loads
-        .into_iter()
-        .map(|s| s.0.into_inner().unwrap_or_default())
-        .collect();
-    (out, loads)
+    let permits = Permits::take(spare_threads(), threads - 1);
+    fan_out(items, permits.count, &f)
 }
 
 /// The per-item outcome of a caught map: the computed value, or the raw
@@ -327,7 +192,7 @@ where
 pub type CaughtResult<V> = Result<V, Box<dyn std::any::Any + Send>>;
 
 /// The fault-isolated sibling of [`parallel_map`]: a panic in `f` is
-/// caught *per item* instead of unwinding the whole pool, so one poisoned
+/// caught *per item* instead of unwinding the whole map, so one poisoned
 /// candidate cannot take down a long batch.
 ///
 /// Returns, in input order, `Ok(value)` for items that evaluated and
@@ -374,26 +239,28 @@ where
     })
 }
 
-/// Number of participants a fan-out can use: the calling thread plus the
-/// persistent pool's helpers (one per spare core). A host reports capacity
-/// `n` even while helpers are busy — nested runs then degrade to inline
-/// execution instead of spawning anything.
+/// Number of participants a fan-out can use: the calling thread plus one
+/// spare thread per additional core. A host reports capacity `n` even
+/// while the budget is lent out — nested runs then run inline instead of
+/// spawning anything.
 pub fn pool_capacity() -> usize {
-    Pool::global().helpers + 1
+    hardware_threads()
 }
 
 /// Resolves the requested thread count: 0 = available parallelism, and
 /// never more threads than items.
 pub(crate) fn effective_threads(requested: usize, items: usize) -> usize {
-    let hw = || std::thread::available_parallelism().map_or(1, |n| n.get());
-    let t = if requested == 0 { hw() } else { requested };
+    let t = if requested == 0 {
+        hardware_threads()
+    } else {
+        requested
+    };
     t.clamp(1, items.max(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn preserves_input_order_for_any_thread_count() {
@@ -416,6 +283,7 @@ mod tests {
     fn empty_and_singleton_inputs() {
         assert_eq!(parallel_map(&[] as &[u8], 4, |x| *x), Vec::<u8>::new());
         assert_eq!(parallel_map(&[7u8], 4, |x| *x + 1), vec![8]);
+        assert_eq!(fan_out(&[] as &[u8], 3, &|x: &u8| *x).0, Vec::<u8>::new());
     }
 
     #[test]
@@ -431,6 +299,59 @@ mod tests {
         assert_eq!(chunk_size(24, 4), 1, "small batches claim singly");
         assert_eq!(chunk_size(256, 2), 16);
         assert_eq!(chunk_size(1 << 20, 2), 1024, "chunks stay bounded");
+    }
+
+    #[test]
+    fn spawned_helpers_preserve_order_and_account_every_item() {
+        // Explicit helper counts exercise the spawn path on any host,
+        // single-core ones included.
+        let items: Vec<u64> = (0..1000).collect();
+        let expect: Vec<u64> = items.iter().map(|x| x ^ 0xA5A5).collect();
+        for helpers in [0, 1, 3, 7] {
+            let (out, loads) = fan_out(&items, helpers, &|x: &u64| x ^ 0xA5A5);
+            assert_eq!(out, expect, "{helpers} helpers");
+            assert_eq!(loads.len(), helpers + 1);
+            assert_eq!(loads.iter().map(|l| l.items).sum::<u64>(), 1000);
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_resumes_with_its_payload() {
+        let items: Vec<u32> = (0..64).collect();
+        let result = std::panic::catch_unwind(|| {
+            fan_out(&items, 3, &|x: &u32| {
+                assert!(*x != 40, "boom at {x}");
+                *x
+            })
+        });
+        let payload = result.expect_err("the panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("boom at 40"), "got: {msg}");
+    }
+
+    #[test]
+    fn permits_are_capped_by_the_budget_and_returned_on_unwind() {
+        let budget = AtomicUsize::new(3);
+        {
+            let a = Permits::take(&budget, 2);
+            let b = Permits::take(&budget, 2);
+            let c = Permits::take(&budget, 2);
+            assert_eq!((a.count, b.count, c.count), (2, 1, 0));
+            assert_eq!(budget.load(Ordering::Relaxed), 0);
+        }
+        assert_eq!(budget.load(Ordering::Relaxed), 3);
+        let _ = std::panic::catch_unwind(|| {
+            let permits = Permits::take(&budget, 3);
+            fan_out(&[1u8, 2, 3, 4], permits.count, &|x: &u8| {
+                assert!(*x != 3, "poison");
+                *x
+            })
+        });
+        assert_eq!(
+            budget.load(Ordering::Relaxed),
+            3,
+            "the unwind gave them back"
+        );
     }
 
     #[test]
@@ -474,7 +395,7 @@ mod tests {
                 *x
             })
         });
-        let payload = result.expect_err("the panic must cross the pool");
+        let payload = result.expect_err("the panic must reach the caller");
         let msg = payload
             .downcast_ref::<String>()
             .expect("assert! payload is a String");
@@ -483,8 +404,8 @@ mod tests {
 
     #[test]
     fn pool_survives_a_panicking_run() {
-        // A panic in one run must not poison the persistent pool: the next
-        // run still completes normally on the same helpers.
+        // A panic in one run must not leak its permits: the next run still
+        // completes normally.
         let _ = std::panic::catch_unwind(|| {
             parallel_map(&[1u8, 2, 3, 4], 4, |x| {
                 assert!(*x != 3, "poison");
@@ -499,8 +420,8 @@ mod tests {
     #[test]
     fn nested_fan_out_composes_without_deadlock() {
         // An inner parallel_map issued from inside an outer one must
-        // complete (inline if every helper is busy) — the shared-budget
-        // rule. 16 outer items each fanning out 32 inner items.
+        // complete (inline once the budget is spent). 16 outer items each
+        // fanning out 32 inner items.
         let outer: Vec<u64> = (0..16).collect();
         let result = parallel_map(&outer, 4, |&o| {
             let inner: Vec<u64> = (0..32).collect();

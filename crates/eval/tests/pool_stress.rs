@@ -1,22 +1,32 @@
-//! Stress the persistent pool **with real helper threads**, regardless of
-//! host core count: every test forces `MCMAP_POOL_HELPERS` before first
-//! pool use, so the helper machinery (ticket claiming, quiesce protocol,
-//! nested-budget degradation) is exercised even on single-core CI runners
-//! where the default helper count is zero.
+//! Stress the fan-out and its core budget through the public API.
+//!
+//! Every test holds one lock, so each sees the whole process-wide budget:
+//! a concurrently running test would otherwise hold permits and make the
+//! budget observations racy. On a single-core host the budget is empty
+//! and every map runs inline; the spawn path itself is covered on any
+//! host by the unit tests in `src/pool.rs`.
 
 use mcmap_eval::{parallel_map, parallel_map_caught, parallel_map_timed, pool_capacity};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// Each test calls this before touching the pool; the value is read once
-/// at pool initialization, so concurrently running tests all agree.
-fn force_helpers() {
-    std::env::set_var("MCMAP_POOL_HELPERS", "3");
-    assert_eq!(pool_capacity(), 4);
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The number of participants a map with `threads = pool_capacity()` gets,
+/// which is all of them exactly when no permit is lent out.
+fn participants_available() -> usize {
+    let items: Vec<u32> = (0..256).collect();
+    parallel_map_timed(&items, pool_capacity(), |x| x + 1)
+        .1
+        .len()
 }
 
 #[test]
 fn helpers_preserve_order_and_coverage_under_load() {
-    force_helpers();
+    let _lock = exclusive();
     for round in 0..50u64 {
         let items: Vec<u64> = (0..257).map(|i| i * 31 + round).collect();
         let expect: Vec<u64> = items.iter().map(|x| x ^ 0xA5A5).collect();
@@ -26,7 +36,7 @@ fn helpers_preserve_order_and_coverage_under_load() {
 
 #[test]
 fn helpers_account_every_item_exactly_once() {
-    force_helpers();
+    let _lock = exclusive();
     let calls = AtomicUsize::new(0);
     let items: Vec<u32> = (0..1000).collect();
     let (out, loads) = parallel_map_timed(&items, 4, |x| {
@@ -36,11 +46,12 @@ fn helpers_account_every_item_exactly_once() {
     assert_eq!(out.len(), 1000);
     assert_eq!(calls.load(Ordering::Relaxed), 1000);
     assert_eq!(loads.iter().map(|l| l.items).sum::<u64>(), 1000);
+    assert!(loads.len() <= pool_capacity().min(4));
 }
 
 #[test]
 fn helper_panics_propagate_and_the_pool_survives() {
-    force_helpers();
+    let _lock = exclusive();
     for _ in 0..20 {
         let result = std::panic::catch_unwind(|| {
             parallel_map(&(0..64).collect::<Vec<u32>>(), 4, |x| {
@@ -48,17 +59,39 @@ fn helper_panics_propagate_and_the_pool_survives() {
                 *x
             })
         });
-        let payload = result.expect_err("panic must cross the pool");
+        let payload = result.expect_err("panic must reach the caller");
         let msg = payload.downcast_ref::<String>().unwrap();
         assert!(msg.contains("boom at 40"));
-        // The pool still answers cleanly after the unwind.
+        // The fan-out still answers cleanly after the unwind.
         assert_eq!(parallel_map(&[1u8, 2, 3], 4, |x| x * 2), vec![2, 4, 6]);
     }
 }
 
 #[test]
+fn a_panicking_item_returns_its_permits() {
+    let _lock = exclusive();
+    assert_eq!(participants_available(), pool_capacity());
+    let items: Vec<u32> = (0..256).collect();
+    let _ = std::panic::catch_unwind(|| {
+        parallel_map(&items, pool_capacity(), |x| {
+            assert!(*x != 200, "poison");
+            *x
+        })
+    });
+    let _ = parallel_map_caught(&items, pool_capacity(), |x| {
+        assert!(*x != 100, "poison");
+        *x
+    });
+    assert_eq!(
+        participants_available(),
+        pool_capacity(),
+        "every permit is back in the budget"
+    );
+}
+
+#[test]
 fn caught_map_with_helpers_isolates_failures_per_item() {
-    force_helpers();
+    let _lock = exclusive();
     let items: Vec<u32> = (0..200).collect();
     let out = parallel_map_caught(&items, 4, |x| {
         assert!(x % 13 != 5, "poisoned {x}");
@@ -75,9 +108,9 @@ fn caught_map_with_helpers_isolates_failures_per_item() {
 
 #[test]
 fn nested_maps_share_the_helper_budget_without_deadlock() {
-    force_helpers();
-    // Outer×inner fan-out much wider than the pool: inner maps degrade to
-    // (mostly) inline execution instead of deadlocking or oversubscribing.
+    let _lock = exclusive();
+    // Outer×inner fan-out much wider than the budget: inner maps run
+    // (mostly) inline instead of deadlocking or oversubscribing.
     let outer: Vec<u64> = (0..24).collect();
     let result = parallel_map(&outer, 4, |&o| {
         let inner: Vec<u64> = (0..100).collect();
@@ -90,12 +123,39 @@ fn nested_maps_share_the_helper_budget_without_deadlock() {
 }
 
 #[test]
+fn nested_maps_never_run_more_threads_than_the_capacity() {
+    let _lock = exclusive();
+    // A thread runs one innermost closure at a time, so the number of
+    // innermost closures running at once counts the live threads.
+    let live = AtomicUsize::new(0);
+    let peak = AtomicUsize::new(0);
+    let outer: Vec<u64> = (0..16).collect();
+    let result = parallel_map(&outer, 8, |&o| {
+        let inner: Vec<u64> = (0..64).collect();
+        parallel_map(&inner, 8, |&i| {
+            peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_micros(50));
+            live.fetch_sub(1, Ordering::SeqCst);
+            o * 100 + i
+        })
+        .iter()
+        .sum::<u64>()
+    });
+    let expect: Vec<u64> = outer.iter().map(|&o| o * 100 * 64 + 2016).collect();
+    assert_eq!(result, expect);
+    let peak = peak.load(Ordering::SeqCst);
+    assert!(
+        (1..=pool_capacity()).contains(&peak),
+        "{peak} threads ran mapped closures at once, capacity {}",
+        pool_capacity()
+    );
+}
+
+#[test]
 fn many_small_batches_reuse_the_pool() {
-    force_helpers();
-    // The regression this pool exists to fix: thousands of small batches
-    // must not pay a spawn/join each. This is a correctness smoke (the
-    // timing claim lives in the fleet_scale bench); it mainly proves the
-    // ticket queue drains cleanly under rapid-fire submission.
+    let _lock = exclusive();
+    // Thousands of small batches, each spawning and joining its workers:
+    // a correctness smoke (the timing claim lives in the benches).
     for round in 0..2000u64 {
         let items = [round, round + 1, round + 2, round + 3];
         let out = parallel_map(&items, 4, |x| x * 2);

@@ -84,28 +84,11 @@ pub trait Problem: Sync {
     /// can plug in their own evaluation engine (memoization, custom pools —
     /// see `mcmap-eval`). Because evaluation is required to be a pure
     /// function of the genotype, any override must keep the result
-    /// independent of `threads`; the default implementation spreads the
-    /// batch over scoped `std::thread` workers and gathers by index, which
-    /// guarantees exactly that.
+    /// independent of `threads`; the default implementation maps the batch
+    /// with [`mcmap_eval::parallel_map`], which gathers by input position
+    /// and so guarantees exactly that.
     fn evaluate_batch(&self, genotypes: &[Self::Genotype], threads: usize) -> Vec<Evaluation> {
-        if threads <= 1 || genotypes.len() < 2 {
-            return genotypes.iter().map(|g| self.evaluate(g)).collect();
-        }
-        let chunk = genotypes.len().div_ceil(threads);
-        let mut results: Vec<Option<Evaluation>> = vec![None; genotypes.len()];
-        std::thread::scope(|scope| {
-            for (slot_chunk, geno_chunk) in results.chunks_mut(chunk).zip(genotypes.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, g) in slot_chunk.iter_mut().zip(geno_chunk) {
-                        *slot = Some(self.evaluate(g));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|e| e.expect("every slot evaluated"))
-            .collect()
+        mcmap_eval::parallel_map(genotypes, threads, |g| self.evaluate(g))
     }
 
     /// Evaluates a whole population with a *designated parent* per genotype

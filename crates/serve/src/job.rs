@@ -192,7 +192,6 @@ impl JobTotals {
         e.evictions += eval.evictions;
         e.panics += eval.panics;
         e.degraded += eval.degraded;
-        e.serial_fallbacks += eval.serial_fallbacks;
         e.cache_entries = eval.cache_entries;
         e.lookup_nanos += eval.lookup_nanos;
         e.eval_nanos += eval.eval_nanos;

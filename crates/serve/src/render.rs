@@ -102,7 +102,6 @@ pub fn render_status(job: &Json) -> String {
                 "cache_hits",
                 "cache_misses",
                 "evictions",
-                "serial_fallbacks",
                 "panics",
                 "degraded",
             ],

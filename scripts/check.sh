@@ -55,9 +55,9 @@ cargo bench -p mcmap-bench --bench eval_engine
 
 # Fleet scaling gate: serial vs. parallel exploration of a generated
 # fleet workload with bit-identical fronts asserted, and >2x wall speedup
-# asserted when the persistent pool has >= 4 participants; emits
-# results/BENCH_scale.json. Smoke budget here — run the bench with its
-# defaults (fleet-med, pop 8 x gens 2) for the committed artifact.
+# asserted when the core budget gives >= 4 participants (pool_capacity);
+# emits results/BENCH_scale.json. Smoke budget here — run the bench with
+# its defaults (fleet-med, pop 8 x gens 2) for the committed artifact.
 MCMAP_FLEET=fleet-small MCMAP_POP=6 MCMAP_GENS=1 \
 MCMAP_BENCH_OUT="$(mktemp -d)" \
   cargo bench -p mcmap-bench --bench fleet_scale

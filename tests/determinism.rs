@@ -223,7 +223,7 @@ fn canonical_trace_is_identical_with_telemetry_enabled_at_any_threads() {
 }
 
 /// A smoke-budget exploration of a generated fleet preset: the same
-/// determinism contract must hold on the workloads the persistent pool
+/// determinism contract must hold on the workloads the parallel fan-out
 /// was built for, including their deeper hardening spaces and composed
 /// batch- + scenario-level fan-out.
 fn fleet_outcome(threads: usize, scenario_threads: usize, seed: u64) -> DseOutcome {
