@@ -13,7 +13,7 @@
 //!                                [--audit [json]] [--checkpoint <path>]
 //!                                [--resume <path>] [--eval-retries N]
 //!                                [--scenario-threads N] [--no-warm-start]
-//!                                [--no-prune] [--no-delta]
+//!                                [--no-prune]
 //!                                                         # power/service exploration
 //! mcmap_cli validate <benchmark> [pop gens] [--profiles N] [--seed N]
 //!                                [--boost F] [--threads N] [--json]
@@ -83,8 +83,8 @@
 //! and doubles as an end-to-end check of the DSE pre-flight (the same codes
 //! that make `lint` exit non-zero also make `dse` refuse the input).
 //! `lint --interference` renders the shared-PE interference graph of a
-//! repaired sample chromosome — the structure that bounds the genome-delta
-//! fast path's may-affect sets — and `lint --explain MCxxxx` prints the
+//! repaired sample chromosome, with the coupling closure of each
+//! application, and `lint --explain MCxxxx` prints the
 //! cause / example / fix card of any diagnostic code (with no code, it
 //! lists every known code with its one-line summary).
 //!
@@ -135,7 +135,7 @@ fn usage() -> ExitCode {
          \u{20}           --trace <path.jsonl>, --obs-summary [json], --gen-stats [json],\n\
          \u{20}           --audit [json], --checkpoint <path>, --resume <path>,\n\
          \u{20}           --eval-retries <n>, --scenario-threads <n>,\n\
-         \u{20}           --no-warm-start, --no-prune, --no-delta, --validate [n]\n\
+         \u{20}           --no-warm-start, --no-prune, --validate [n]\n\
          analyze:    mcmap_cli analyze <benchmark> [seed] [--json]\n\
          validate:   mcmap_cli validate <benchmark> [pop gens] [--profiles <n>]\n\
          \u{20}           [--seed <n>] [--boost <f>] [--threads <n>] [--json]\n\
@@ -194,8 +194,7 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
     let analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
     if json {
         // One object per run, with the same `analysis` keys as the DSE's
-        // `--eval-stats json` report (a single candidate, analyzed cold —
-        // the delta counters exist but are necessarily zero here).
+        // `--eval-stats json` report (a single candidate).
         let stats = AnalysisStats {
             candidates: 1,
             scenarios: mc.scenarios as u64,
@@ -204,7 +203,6 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
             scenarios_pruned: mc.scenarios_pruned as u64,
             warm_iters_saved: mc.warm_iters_saved as u64,
             analysis_nanos,
-            ..AnalysisStats::default()
         };
         let apps: Vec<String> = b
             .apps

@@ -126,8 +126,8 @@ pub enum StatsFormat {
 /// [text|json]` / `MCMAP_GEN_STATS`, `--audit [text|json]` /
 /// `MCMAP_AUDIT`, plus the analysis fast-path knobs `--scenario-threads N`
 /// / `MCMAP_SCENARIO_THREADS`, `--no-warm-start` / `MCMAP_NO_WARM_START`,
-/// `--no-prune` / `MCMAP_NO_PRUNE`, `--no-delta` / `MCMAP_NO_DELTA`, and
-/// the workload override `--fleet <preset>` / `MCMAP_FLEET`.
+/// `--no-prune` / `MCMAP_NO_PRUNE`, and the workload override
+/// `--fleet <preset>` / `MCMAP_FLEET`.
 ///
 /// CLI flags take precedence over environment variables. `threads == 0`
 /// (the default) means one worker per available core — results are
@@ -173,9 +173,6 @@ pub struct EvalKnobs {
     /// Disables dominance pruning of scenario bound-vectors
     /// (`--no-prune` / `MCMAP_NO_PRUNE`).
     pub no_prune: bool,
-    /// Disables the incremental genome-delta analysis
-    /// (`--no-delta` / `MCMAP_NO_DELTA`).
-    pub no_delta: bool,
     /// When set, swap the experiment's benchmark for a generated fleet
     /// preset (`--fleet <fleet-small|fleet-med|fleet-large>` /
     /// `MCMAP_FLEET`) — the 500–5000-task workloads the parallel
@@ -243,7 +240,6 @@ impl EvalKnobs {
             no_warm_start: args.iter().any(|a| a == "--no-warm-start")
                 || env_usize("MCMAP_NO_WARM_START", 0) != 0,
             no_prune: args.iter().any(|a| a == "--no-prune") || env_usize("MCMAP_NO_PRUNE", 0) != 0,
-            no_delta: args.iter().any(|a| a == "--no-delta") || env_usize("MCMAP_NO_DELTA", 0) != 0,
             fleet: value_of("--fleet")
                 .filter(|v| !v.is_empty())
                 .or_else(|| std::env::var("MCMAP_FLEET").ok())
@@ -358,7 +354,6 @@ impl EvalKnobs {
             prune: !self.no_prune,
             scenario_threads: self.scenario_threads,
         };
-        cfg.delta = !self.no_delta;
         // A fleet run also deepens the hardening space to the preset's
         // bounds — that is part of what makes the workload fleet-scale.
         if let Some(fleet) = self.fleet_config() {
@@ -591,28 +586,20 @@ mod tests {
 
     #[test]
     fn eval_knobs_parse_analysis_flags() {
-        let args: Vec<String> = [
-            "--scenario-threads",
-            "3",
-            "--no-warm-start",
-            "--no-prune",
-            "--no-delta",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> = ["--scenario-threads", "3", "--no-warm-start", "--no-prune"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let k = EvalKnobs::from_args(&args);
         assert_eq!(k.scenario_threads, 3);
         assert!(k.no_warm_start);
         assert!(k.no_prune);
-        assert!(k.no_delta);
 
         let mut cfg = mcmap_core::DseConfig::default();
         k.apply(&mut cfg);
         assert!(!cfg.analysis.warm_start);
         assert!(!cfg.analysis.prune);
         assert_eq!(cfg.analysis.scenario_threads, 3);
-        assert!(!cfg.delta);
 
         // The defaults leave the fast path on.
         let k = EvalKnobs::from_args(&[]);
@@ -621,7 +608,6 @@ mod tests {
         assert!(cfg.analysis.warm_start);
         assert!(cfg.analysis.prune);
         assert_eq!(cfg.analysis.scenario_threads, 1);
-        assert!(cfg.delta);
     }
 
     #[test]

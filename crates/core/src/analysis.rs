@@ -84,16 +84,21 @@ fn dominates(a: &[ExecBounds], b: &[ExecBounds]) -> bool {
 /// normal-state run plus every scenario run the backend actually performed,
 /// each keyed by the exact bound vector it solved.
 ///
-/// Captured by [`proposed_analysis_delta`] / [`analyze_delta`] and fed back
-/// as the `parent` of a later analysis. A solution is reused **only** when
-/// its bound vector is bit-equal to the one the child is about to solve —
-/// and scenario solutions additionally require the normal-state vectors to
-/// coincide *and* the stored warm-gate decision to match the child's,
+/// Nothing in the workspace reuses solutions; this type,
+/// [`AnalysisSolutions::absorb`] and [`proposed_analysis_delta`] remain only
+/// because the `dsebench` benchmark's replay calls them, and go with the
+/// next change to that benchmark.
+///
+/// Captured by [`proposed_analysis_delta`] and fed back as the `parent` of
+/// a later analysis. A solution is reused **only** when its bound vector is
+/// bit-equal to the one the child is about to solve — and scenario
+/// solutions additionally require the normal-state vectors to coincide
+/// *and* the stored warm-gate decision to match the child's,
 /// because a warm-started run's iteration counters depend on the seeding
 /// solution. The caller must guarantee the parent solutions were
 /// produced by an identically-behaving backend (same hardened system,
-/// architecture, mapping, and policies); the DSE establishes this by
-/// checking repaired-genome gene equality before attaching a parent.
+/// architecture, mapping, and policies), e.g. by checking that the
+/// repaired genes are equal.
 ///
 /// Under those gates the backend — a deterministic pure function of its
 /// bound vector (and warm seed) — would return exactly the stored windows,
@@ -308,7 +313,9 @@ pub fn proposed_analysis_with<B: SchedBackend + Sync + ?Sized>(
     proposed_analysis_delta(backend, hsys, arch, mapping, nominal, dropped, opts, None).0
 }
 
-/// [`proposed_analysis_with`] with incremental solution reuse.
+/// [`proposed_analysis_with`] with incremental solution reuse. Its last
+/// caller is the `dsebench` benchmark's replay; it goes with the next
+/// change to that benchmark.
 ///
 /// In addition to the [`McAnalysis`], returns the candidate's own
 /// [`AnalysisSolutions`] (for reuse by *its* children) and the number of
@@ -619,8 +626,8 @@ pub fn analyze(
     )
 }
 
-/// [`analyze`] with explicit [`AnalysisOptions`] — the entry point the DSE
-/// uses to honor `--no-warm-start`/`--no-prune`/`--scenario-threads`.
+/// [`analyze`] with explicit [`AnalysisOptions`] (`--no-warm-start`,
+/// `--no-prune`, `--scenario-threads`).
 pub fn analyze_with(
     hsys: &HardenedSystem,
     arch: &Architecture,
@@ -629,29 +636,9 @@ pub fn analyze_with(
     dropped: &[AppId],
     opts: AnalysisOptions,
 ) -> McAnalysis {
-    analyze_delta(hsys, arch, mapping, policies, dropped, opts, None).0
-}
-
-/// [`analyze_with`] with incremental solution reuse: runs the holistic
-/// backend, feeding in a parent candidate's [`AnalysisSolutions`] when one
-/// is available, and returns this candidate's own solutions plus the number
-/// of backend runs reused. Bit-identical to [`analyze_with`] for any
-/// `parent` (see [`AnalysisSolutions`]); the caller must only attach a
-/// parent whose hardened system, mapping, and policies coincide.
-pub fn analyze_delta(
-    hsys: &HardenedSystem,
-    arch: &Architecture,
-    mapping: &Mapping,
-    policies: &[SchedPolicy],
-    dropped: &[AppId],
-    opts: AnalysisOptions,
-    parent: Option<&AnalysisSolutions>,
-) -> (McAnalysis, AnalysisSolutions, usize) {
     let backend = HolisticAnalysis::new(hsys, arch, mapping, policies.to_vec());
     let nominal = nominal_bounds(hsys, arch, mapping);
-    proposed_analysis_delta(
-        &backend, hsys, arch, mapping, &nominal, dropped, opts, parent,
-    )
+    proposed_analysis_with(&backend, hsys, arch, mapping, &nominal, dropped, opts)
 }
 
 /// Convenience wrapper running [`naive_analysis`] with the library's
@@ -1051,6 +1038,23 @@ mod dedup_tests {
         );
     }
 
+    /// [`proposed_analysis_delta`] over the holistic backend.
+    fn solve_with_parent(
+        hsys: &HardenedSystem,
+        arch: &Architecture,
+        mapping: &Mapping,
+        policies: &[SchedPolicy],
+        dropped: &[AppId],
+        opts: AnalysisOptions,
+        parent: Option<&AnalysisSolutions>,
+    ) -> (McAnalysis, AnalysisSolutions, usize) {
+        let backend = HolisticAnalysis::new(hsys, arch, mapping, policies.to_vec());
+        let nominal = nominal_bounds(hsys, arch, mapping);
+        proposed_analysis_delta(
+            &backend, hsys, arch, mapping, &nominal, dropped, opts, parent,
+        )
+    }
+
     /// Re-analyzing a candidate with its *own* solutions as the parent
     /// reuses every backend run and changes nothing, for any knob setting.
     #[test]
@@ -1066,9 +1070,9 @@ mod dedup_tests {
             },
         ] {
             let (cold, sols, reused0) =
-                analyze_delta(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
+                solve_with_parent(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
             assert_eq!(reused0, 0);
-            let (warm, sols2, reused) = analyze_delta(
+            let (warm, sols2, reused) = solve_with_parent(
                 &hsys,
                 &arch,
                 &mapping,
@@ -1091,10 +1095,12 @@ mod dedup_tests {
     fn cross_dropped_reuse_keeps_results_bit_identical() {
         let (arch, hsys, mapping, policies, _) = super::tests::mixed_system(false);
         let opts = AnalysisOptions::default();
-        let (_, parent_sols, _) = analyze_delta(&hsys, &arch, &mapping, &policies, &[], opts, None);
+        let (_, parent_sols, _) =
+            solve_with_parent(&hsys, &arch, &mapping, &policies, &[], opts, None);
         let dropped = vec![AppId::new(1)];
-        let (cold, _, _) = analyze_delta(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
-        let (warm, _, reused) = analyze_delta(
+        let (cold, _, _) =
+            solve_with_parent(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
+        let (warm, _, reused) = solve_with_parent(
             &hsys,
             &arch,
             &mapping,
@@ -1115,10 +1121,10 @@ mod dedup_tests {
         let (arch, hsys, mapping, policies, dropped) = super::tests::mixed_system(true);
         let opts = AnalysisOptions::default();
         let (cold, sols, _) =
-            analyze_delta(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
+            solve_with_parent(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
         let mut bogus = sols.clone();
         bogus.normal_bounds[0] = ExecBounds::exact(Time::from_ticks(12345));
-        let (warm, _, reused) = analyze_delta(
+        let (warm, _, reused) = solve_with_parent(
             &hsys,
             &arch,
             &mapping,

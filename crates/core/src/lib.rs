@@ -63,7 +63,6 @@
 
 mod analysis;
 mod checkpoint;
-mod delta;
 mod dse;
 mod genome;
 mod objective;
@@ -72,14 +71,13 @@ mod repair;
 mod sensitivity;
 
 pub use analysis::{
-    adhoc_analysis, analyze, analyze_delta, analyze_naive, analyze_with, naive_analysis,
-    normal_state_bounds, proposed_analysis, proposed_analysis_delta, proposed_analysis_with,
-    AnalysisOptions, AnalysisSolutions, McAnalysis,
+    adhoc_analysis, analyze, analyze_naive, analyze_with, naive_analysis, normal_state_bounds,
+    proposed_analysis, proposed_analysis_delta, proposed_analysis_with, AnalysisOptions,
+    AnalysisSolutions, McAnalysis,
 };
 pub use checkpoint::{
     read_checkpoint, read_checkpoint_with_fallback, write_checkpoint, DseCheckpoint,
 };
-pub use delta::{diff_genomes, may_affect, ParentArtifacts};
 pub use dse::{
     explore, explore_checked, AnalysisStats, AuditSnapshot, DesignReport, DseConfig, DseError,
     DseOutcome, MappingProblem, ObjectiveMode, ResilienceConfig, SharedEvalCache,

@@ -3,15 +3,15 @@
 //! simulated response times on randomized systems and failure profiles.
 
 use mcmap_core::{
-    analyze, analyze_delta, analyze_naive, explore, repair_reliability, repair_structure,
-    AnalysisOptions, DseConfig, GenomeSpace,
+    analyze, analyze_naive, proposed_analysis_delta, repair_reliability, repair_structure,
+    AnalysisOptions, AnalysisSolutions, GenomeSpace, McAnalysis,
 };
 use mcmap_hardening::{harden, HardenedSystem, HardeningPlan, TaskHardening};
 use mcmap_model::{
     AppId, AppSet, Architecture, Criticality, ExecBounds, Fabric, ProcId, ProcKind, Processor,
     Task, TaskGraph, Time,
 };
-use mcmap_sched::{uniform_policies, Mapping, SchedPolicy};
+use mcmap_sched::{nominal_bounds, uniform_policies, HolisticAnalysis, Mapping, SchedPolicy};
 use mcmap_sim::{RandomFaults, SimConfig, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -43,6 +43,23 @@ fn desc_strategy() -> impl Strategy<Value = Desc> {
             reexec,
             preemptive,
         })
+}
+
+/// [`proposed_analysis_delta`] over the holistic backend.
+fn solve_with_parent(
+    hsys: &HardenedSystem,
+    arch: &Architecture,
+    mapping: &Mapping,
+    policies: &[SchedPolicy],
+    dropped: &[AppId],
+    opts: AnalysisOptions,
+    parent: Option<&AnalysisSolutions>,
+) -> (McAnalysis, AnalysisSolutions, usize) {
+    let backend = HolisticAnalysis::new(hsys, arch, mapping, policies.to_vec());
+    let nominal = nominal_bounds(hsys, arch, mapping);
+    proposed_analysis_delta(
+        &backend, hsys, arch, mapping, &nominal, dropped, opts, parent,
+    )
 }
 
 fn build(
@@ -287,7 +304,7 @@ proptest! {
     #[test]
     fn fast_path_is_bit_identical_to_the_cold_reference(d in desc_strategy()) {
         let (arch, _apps, hsys, mapping, policies, dropped) = build(&d);
-        let (reference, ref_sols, ref_reused) = analyze_delta(
+        let (reference, ref_sols, ref_reused) = solve_with_parent(
             &hsys, &arch, &mapping, &policies, &dropped, AnalysisOptions::reference(), None,
         );
         prop_assert_eq!(ref_reused, 0, "no parent, nothing to reuse");
@@ -298,7 +315,7 @@ proptest! {
             AnalysisOptions { warm_start: true, prune: true, scenario_threads: 3 },
         ] {
             let (fast, fast_sols, _) =
-                analyze_delta(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
+                solve_with_parent(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
             prop_assert_eq!(&fast.normal, &reference.normal, "{:?}", opts);
             prop_assert_eq!(&fast.worst, &reference.worst, "{:?}", opts);
             prop_assert_eq!(
@@ -317,12 +334,12 @@ proptest! {
                 reference.backend_calls,
                 "every skipped run must be accounted to the pruner ({:?})", opts
             );
-            // The genome-delta reuse path seeded with the cold reference's
+            // Solution reuse seeded with the cold reference's
             // solutions must reproduce the fresh result bit-for-bit under
             // every knob combination — reuse is gated on bit-equality of
             // the actual analysis inputs, so it can only skip work whose
             // output is already known.
-            let (delta, _, reused) = analyze_delta(
+            let (delta, _, reused) = solve_with_parent(
                 &hsys, &arch, &mapping, &policies, &dropped, opts, Some(&ref_sols),
             );
             prop_assert_eq!(&delta, &fast, "delta vs fresh ({:?})", opts);
@@ -333,7 +350,7 @@ proptest! {
             // Self-reuse under the *same* opts replays every warm-gate
             // decision identically, so the parent satisfies every single
             // backend run of the child.
-            let (again, _, again_reused) = analyze_delta(
+            let (again, _, again_reused) = solve_with_parent(
                 &hsys, &arch, &mapping, &policies, &dropped, opts, Some(&fast_sols),
             );
             prop_assert_eq!(&again, &fast, "self-reuse vs fresh ({:?})", opts);
@@ -341,57 +358,6 @@ proptest! {
                 again_reused, fast.backend_calls,
                 "same-opts self-reuse needs zero new backend runs ({:?})", opts
             );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// End-to-end: a whole exploration with the genome-delta fast path on
-    /// is bit-identical — Pareto front, audit counters, deterministic
-    /// effort counters — to the same exploration analyzed cold, on random
-    /// systems and for both scenario-fast-path knob settings.
-    #[test]
-    fn delta_exploration_matches_cold_on_random_systems(
-        d in desc_strategy(), seed in 0u64..1_000_000
-    ) {
-        let (arch, apps, _hsys, _mapping, _policies, _dropped) = build(&d);
-        for opts in [AnalysisOptions::default(), AnalysisOptions::reference()] {
-            let mk = |delta: bool| {
-                let mut cfg = DseConfig {
-                    audit: true,
-                    repair_iters: 10,
-                    analysis: opts,
-                    delta,
-                    ..DseConfig::default()
-                };
-                cfg.ga.population = 8;
-                cfg.ga.generations = 3;
-                cfg.ga.mutation_rate = 0.9;
-                cfg.ga.seed = seed;
-                cfg
-            };
-            let with = explore(&apps, &arch, mk(true));
-            let without = explore(&apps, &arch, mk(false));
-            prop_assert_eq!(with.result.front.len(), without.result.front.len());
-            for (a, b) in with.result.front.iter().zip(&without.result.front) {
-                prop_assert_eq!(&a.eval, &b.eval);
-                prop_assert_eq!(&a.genotype, &b.genotype);
-            }
-            prop_assert_eq!(with.audit, without.audit);
-            prop_assert_eq!(with.analysis.candidates, without.analysis.candidates);
-            prop_assert_eq!(with.analysis.scenarios, without.analysis.scenarios);
-            prop_assert_eq!(with.analysis.backend_calls, without.analysis.backend_calls);
-            prop_assert_eq!(
-                with.analysis.fixedpoint_iters,
-                without.analysis.fixedpoint_iters
-            );
-            prop_assert_eq!(
-                with.analysis.scenarios_pruned,
-                without.analysis.scenarios_pruned
-            );
-            prop_assert_eq!(without.analysis.backend_reused, 0);
         }
     }
 }

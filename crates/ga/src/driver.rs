@@ -304,13 +304,7 @@ pub fn optimize_resumable<P: Problem>(
             let span = cfg
                 .obs
                 .span("ga.generation", &[("generation", Value::from(gen))]);
-            // Variation: binary tournaments over the archive. The first
-            // tournament pick is each child's designated parent — the
-            // archive member the child is a (crossover half + mutation)
-            // delta of — handed to the problem as an incremental-reuse
-            // hint. Hints never change results (see
-            // [`Problem::evaluate_batch_with_parents`]).
-            let mut parent_idx: Vec<usize> = Vec::with_capacity(cfg.population);
+            // Variation: binary tournaments over the archive.
             let offspring_genotypes: Vec<P::Genotype> = (0..cfg.population)
                 .map(|_| {
                     let a = tournament(&archive, &mut rng);
@@ -323,16 +317,10 @@ pub fn optimize_resumable<P: Problem>(
                     if rng.gen_bool(cfg.mutation_rate) {
                         problem.mutate(&mut child, &mut rng);
                     }
-                    parent_idx.push(a);
                     child
                 })
                 .collect();
-            let parents: Vec<Option<&P::Genotype>> = parent_idx
-                .iter()
-                .map(|&a| Some(&archive[a].genotype))
-                .collect();
-            let evals =
-                problem.evaluate_batch_with_parents(&offspring_genotypes, &parents, cfg.threads);
+            let evals = problem.evaluate_batch(&offspring_genotypes, cfg.threads);
             evaluations += evals.len();
             let batch_size = evals.len();
 

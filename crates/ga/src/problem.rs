@@ -91,19 +91,13 @@ pub trait Problem: Sync {
         mcmap_eval::parallel_map(genotypes, threads, |g| self.evaluate(g))
     }
 
-    /// Evaluates a whole population with a *designated parent* per genotype
-    /// — the archive member the child was derived from by variation (the
-    /// first tournament pick), or `None` for de-novo candidates.
-    ///
-    /// The parent is a **hint, never an input**: results must be bit-equal
-    /// to [`Problem::evaluate_batch`] on the same genotypes for every
-    /// parent vector, including all-`None`. Problems with an incremental
-    /// fast path (see `mcmap-core`'s genome-delta analysis) override this
-    /// to reuse the parent's already-computed artifacts where provably
-    /// unchanged; the default implementation ignores the hint and
-    /// delegates, so existing problems are unaffected.
+    /// [`Problem::evaluate_batch`] with an ignored per-genotype parent
+    /// hint. Nothing calls it; it remains only because the `dsebench`
+    /// benchmark's `TracedProblem` implements it, and goes with the next
+    /// change to that benchmark.
     ///
     /// `parents.len()` must equal `genotypes.len()`.
+    #[deprecated(note = "`optimize` calls `evaluate_batch`; kept only for the dsebench benchmark")]
     fn evaluate_batch_with_parents(
         &self,
         genotypes: &[Self::Genotype],

@@ -621,7 +621,7 @@ pub(crate) const CODE_DOCS: &[CodeDoc] = &[
     CodeDoc {
         code: "MC0120",
         summary: "applications form a fully-connected interference clique",
-        cause: "every pair of applications shares at least one processor, so any genome edit forces re-analysis of the whole system and incremental reuse never triggers",
+        cause: "every pair of applications shares at least one processor, so a change to any application's placement or hardening can shift the response times of all of them",
         example: "three applications all bound to the same two PEs",
         fix: "spread applications over disjoint processors where the deadlines allow it",
     },
@@ -635,9 +635,9 @@ pub(crate) const CODE_DOCS: &[CodeDoc] = &[
     CodeDoc {
         code: "MC0122",
         summary: "application is an interference-free island",
-        cause: "an application shares no processor with any other, so edits to it re-analyze only itself",
+        cause: "an application shares no processor with any other, so its response times depend only on its own placement and hardening",
         example: "one application alone on its own PE",
-        fix: "no action needed; this is the ideal shape for incremental re-analysis",
+        fix: "no action needed",
     },
 ];
 

@@ -58,7 +58,7 @@ mod passes;
 
 pub use diag::{all_code_docs, code_doc, CodeDoc, Diagnostic, EntityRef, LintReport, Severity};
 pub use genome::{GeneView, GenomeView, HardeningView};
-pub use interference::{AffectSet, GenomeEdit, InterferenceGraph};
+pub use interference::InterferenceGraph;
 pub use mcmap_model::ModelError;
 pub use passes::{app_of_flat, kind_present, lint_system, Linter};
 

@@ -332,8 +332,8 @@ impl Client {
 
     /// Streams the job's progress on this connection: `on_generation` is
     /// called once per pushed boundary, and the job's terminal state name
-    /// is returned when the `done` frame arrives. The connection stays
-    /// usable for further verbs afterwards.
+    /// is returned when the `done` frame arrives. The server closes the
+    /// connection after `done`, so further verbs need a new connection.
     ///
     /// # Errors
     ///
@@ -579,6 +579,41 @@ mod tests {
         // Unknown verbs and ids produce typed errors, not hangups.
         assert!(c.request("{\"verb\":\"bogus\"}").is_err());
         assert!(c.status("job-999999").is_err());
+        c.shutdown().unwrap();
+        handle.thread.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streaming_a_completed_job_reports_its_final_generation() {
+        let dir = scratch("stream_after_completion");
+        let handle = spawn_local(ServeConfig {
+            jobs_dir: dir.clone(),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = handle.addr.to_string();
+        let mut c = Client::connect(&addr).unwrap();
+        let spec = JobSpec {
+            benchmark: "cruise".into(),
+            population: 6,
+            generations: 2,
+            seed: 3,
+        };
+        let id = c.submit(&spec).unwrap();
+        // Poll, never subscribe, until the job has published every
+        // boundary and finished.
+        let t0 = std::time::Instant::now();
+        while c.status(&id).unwrap().get("state").and_then(|v| v.as_str()) != Some("completed") {
+            assert!(t0.elapsed() < std::time::Duration::from_secs(120));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let mut streamer = Client::connect(&addr).unwrap();
+        let mut boundaries = Vec::new();
+        let state = streamer.stream(&id, |g| boundaries.push(g)).unwrap();
+        assert_eq!(state, "completed");
+        assert_eq!(boundaries, [spec.generations as u64]);
         c.shutdown().unwrap();
         handle.thread.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

@@ -361,15 +361,27 @@ impl Registry {
 
     /// The job's current state, if it exists.
     pub fn state_of(&self, id: &str) -> Option<JobState> {
-        self.lock().jobs.get(id).map(|e| e.state)
+        self.progress_of(id).map(|(state, _)| state)
+    }
+
+    /// The job's current state and last generation boundary recorded at
+    /// the end of a slice, read together.
+    pub fn progress_of(&self, id: &str) -> Option<(JobState, Option<usize>)> {
+        self.lock()
+            .jobs
+            .get(id)
+            .map(|e| (e.state, e.generation_done))
     }
 
     /// Subscribes to the job's progress stream (one generation number per
-    /// completed boundary), along with its state at subscription time.
-    pub fn subscribe(&self, id: &str) -> Option<(Receiver<u64>, JobState)> {
+    /// completed boundary), along with its last recorded generation at
+    /// subscription time. Boundaries published before the subscription are
+    /// not replayed through the receiver, so a job that already finished is
+    /// visible only through the returned generation.
+    pub fn subscribe(&self, id: &str) -> Option<(Receiver<u64>, Option<usize>)> {
         let inner = self.lock();
         let entry = inner.jobs.get(id)?;
-        Some((entry.tap.subscribe(), entry.state))
+        Some((entry.tap.subscribe(), entry.generation_done))
     }
 
     /// The full status document of one job (the `status` verb payload).

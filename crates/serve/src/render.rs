@@ -119,8 +119,6 @@ pub fn render_status(job: &Json) -> String {
                 "fixedpoint_iters",
                 "scenarios_pruned",
                 "warm_iters_saved",
-                "backend_reused",
-                "delta_reuses",
             ],
             &mut out,
         );

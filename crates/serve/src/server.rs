@@ -232,35 +232,43 @@ fn known_verb(verb: Option<&str>) -> &'static str {
     }
 }
 
-/// The `stream` verb body: acknowledge, then push one frame per completed
-/// generation boundary until the job reaches a terminal state, and close
-/// with a `done` frame naming it.
+/// The `stream` verb body: acknowledge, send the last recorded boundary,
+/// then push one frame per completed generation boundary until the job
+/// reaches a terminal state, and close with a `done` frame naming it.
 fn stream_job(id: &str, registry: &Arc<Registry>, stream: &mut TcpStream) -> Option<String> {
-    // Subscribe before reading the state so no boundary between the two
-    // can be missed (at-least-once: the first frames may repeat history).
-    let Some((rx, _)) = registry.subscribe(id) else {
+    let generation_frame = |g: u64| format!("{{\"event\":\"generation\",\"generation\":{g}}}");
+    // Subscribe and read the last recorded boundary together, then send
+    // that boundary first: a job that finished (or finished a slice)
+    // before the subscription still reports where it got to. The first
+    // frames may therefore repeat history; clients drop repeats.
+    let Some((rx, generation_done)) = registry.subscribe(id) else {
         return Some(error_frame(&format!("no such job {id:?}")));
     };
     if write_frame(stream, &ok_frame(",\"streaming\":true")).is_err() {
         return None;
     }
+    if let Some(g) = generation_done {
+        if write_frame(stream, &generation_frame(g as u64)).is_err() {
+            return None;
+        }
+    }
     loop {
         match rx.recv_timeout(POLL) {
             Ok(generation) => {
-                let frame = format!("{{\"event\":\"generation\",\"generation\":{generation}}}");
-                if write_frame(stream, &frame).is_err() {
+                if write_frame(stream, &generation_frame(generation)).is_err() {
                     return None;
                 }
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout)
             | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                let state = registry.state_of(id)?;
+                let (state, generation_done) = registry.progress_of(id)?;
                 if state.is_terminal() {
-                    // Flush any boundary that raced the state transition.
-                    for generation in rx.try_iter() {
-                        let frame =
-                            format!("{{\"event\":\"generation\",\"generation\":{generation}}}");
-                        if write_frame(stream, &frame).is_err() {
+                    // Flush any boundary that raced the state transition,
+                    // then the final recorded one, which a subscription made
+                    // during the last slice may have missed.
+                    let last = generation_done.map(|g| g as u64);
+                    for generation in rx.try_iter().chain(last) {
+                        if write_frame(stream, &generation_frame(generation)).is_err() {
                             return None;
                         }
                     }

@@ -2,10 +2,9 @@
 # Full local gate: formatting, lints, the whole test suite, the evaluation
 # engine's determinism suite, the server and validation-campaign
 # kill-and-resume smokes, and the eval-engine + fleet-scale + wcrt-analysis
-# + delta-analysis + obs-overhead + telemetry-overhead + serve-load +
-# sim-validation benches (which write the machine-readable
-# results/BENCH_eval.json, results/BENCH_scale.json,
-# results/BENCH_sched.json, results/BENCH_delta.json,
+# + obs-overhead + telemetry-overhead + serve-load + sim-validation benches
+# (which write the machine-readable results/BENCH_eval.json,
+# results/BENCH_scale.json, results/BENCH_sched.json,
 # results/BENCH_obs.json, results/BENCH_telemetry.json,
 # results/BENCH_serve.json, and results/BENCH_sim.json — the fleet-scale
 # smoke writes its JSON to a temp dir so the committed fleet-med artifact
@@ -65,10 +64,6 @@ MCMAP_BENCH_OUT="$(mktemp -d)" \
 # Analysis fast-path gate (bit-identical windows, >= 1.5x over the cold
 # enumeration); emits results/BENCH_sched.json.
 cargo bench -p mcmap-bench --bench wcrt_analysis
-
-# Genome-delta incremental-analysis gate (bit-identical fronts, >= 2x
-# fewer executed backend runs); emits results/BENCH_delta.json.
-cargo bench -p mcmap-bench --bench delta_analysis
 
 # Tracing overhead gate (budget 5 %); emits results/BENCH_obs.json.
 cargo bench -p mcmap-bench --bench obs_overhead

@@ -303,3 +303,113 @@ proptest! {
         prop_assert_eq!(bare.eval_stats.cache_misses, bare.eval_stats.genomes);
     }
 }
+
+/// FNV-1a digest of a front: every member's genome (allocation bits, keep
+/// bits, per-task binding and hardening) with its feasibility, penalty and
+/// objective bits, in front order.
+fn front_digest(o: &DseOutcome) -> u64 {
+    use mcmap::core::GeneHardening;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut put = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    put(o.result.front.len() as u64);
+    for ind in &o.result.front {
+        let g = &ind.genotype;
+        for bits in [&g.alloc, &g.keep] {
+            put(bits.len() as u64);
+            bits.iter().for_each(|&b| put(u64::from(b)));
+        }
+        for gene in &g.genes {
+            put(gene.binding.index() as u64);
+            put(match gene.hardening {
+                GeneHardening::None => 0,
+                GeneHardening::Reexec(k) => 1 + u64::from(k),
+                GeneHardening::Active { .. } => 1 << 8,
+                GeneHardening::Passive { ref standbys, .. } => (2 << 8) + standbys.len() as u64,
+            });
+            let procs = gene.hardening.referenced_procs();
+            put(procs.len() as u64);
+            procs.iter().for_each(|p| put(p.index() as u64));
+        }
+        put(u64::from(ind.eval.feasible));
+        put(ind.eval.penalty.to_bits());
+        ind.eval.objectives.iter().for_each(|x| put(x.to_bits()));
+    }
+    h
+}
+
+/// Golden fronts: fixed digests of two small explorations, so that any
+/// change to the repair RNG, the variation order or the evaluation order
+/// shows up even when every thread count still agrees with every other.
+#[test]
+fn dt_med_front_matches_its_golden_digest() {
+    let b = mcmap::benchmarks::dt_med();
+    let outcome = explore(
+        &b.apps,
+        &b.arch,
+        DseConfig {
+            ga: GaConfig {
+                population: 16,
+                generations: 3,
+                seed: 5,
+                threads: 2,
+                ..GaConfig::default()
+            },
+            objectives: ObjectiveMode::PowerService,
+            policies: Some(b.policies.clone()),
+            repair_iters: 80,
+            ..DseConfig::default()
+        },
+    );
+    assert_eq!(
+        format!("{:016x}", front_digest(&outcome)),
+        "7696cb2cb878f66a"
+    );
+}
+
+#[test]
+fn audited_fleet_front_matches_its_golden_digest() {
+    let preset = mcmap::benchmarks::fleet_small_config();
+    let b = mcmap::benchmarks::fleet(&preset, 3);
+    let outcome = explore(
+        &b.apps,
+        &b.arch,
+        DseConfig {
+            ga: GaConfig {
+                population: 6,
+                generations: 1,
+                seed: 3,
+                threads: 1,
+                ..GaConfig::default()
+            },
+            objectives: ObjectiveMode::PowerService,
+            policies: Some(b.policies.clone()),
+            repair_iters: 80,
+            audit: true,
+            max_reexec: preset.max_reexec,
+            max_replicas: preset.max_replicas,
+            ..DseConfig::default()
+        },
+    );
+    let a = &outcome.audit;
+    assert_eq!(
+        (a.evaluated, a.feasible, a.audited, a.rescued_by_dropping),
+        (12, 0, 12, 0)
+    );
+    assert_eq!(
+        (
+            a.reexecutions,
+            a.active_replications,
+            a.passive_replications
+        ),
+        (1829, 531, 566)
+    );
+    assert_eq!(
+        format!("{:016x}", front_digest(&outcome)),
+        "770366bb94ef15ae"
+    );
+}
