@@ -202,6 +202,8 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
             fixedpoint_iters: mc.fixedpoint_iters as u64,
             scenarios_pruned: mc.scenarios_pruned as u64,
             warm_iters_saved: mc.warm_iters_saved as u64,
+            // Sampled designs are kept only when reliability repair succeeds.
+            reliability_unmet: 0,
             analysis_nanos,
         };
         let apps: Vec<String> = b

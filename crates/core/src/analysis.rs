@@ -17,19 +17,24 @@ use mcmap_sched::{
     nominal_bounds, HolisticAnalysis, Mapping, SchedBackend, SchedPolicy, TaskWindows,
 };
 use mcmap_sim::{ExhaustiveReexecution, SimConfig, Simulator};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Tuning knobs of the scenario-level WCRT fast path.
 ///
-/// Every combination of knobs produces **bit-identical** [`McAnalysis`]
-/// windows and verdicts (see `DESIGN.md` §15 for the argument); the knobs
-/// only trade wall time for backend work, so they are deliberately *not*
-/// part of any result fingerprint. The exceptions are the effort counters
-/// ([`McAnalysis::backend_calls`], [`McAnalysis::fixedpoint_iters`],
-/// [`McAnalysis::scenarios_pruned`], [`McAnalysis::warm_iters_saved`]),
-/// which report the work *actually performed* and therefore change — still
-/// deterministically — with `warm_start`/`prune` (never with
-/// `scenario_threads`).
+/// `warm_start` and `scenario_threads` never change the [`McAnalysis`]
+/// windows and verdicts, and neither does `prune` as long as every
+/// pruned vector's dominator converges (see `DESIGN.md` §15 for the
+/// argument). A dominator that diverges stops with partial windows, and
+/// then `prune` can change the response times of an unschedulable
+/// candidate — an open defect (ROADMAP, "Dominance pruning trusts
+/// diverged dominators"). The knobs are meant to trade only wall time for
+/// backend work, so they are deliberately *not* part of any result
+/// fingerprint. The effort counters ([`McAnalysis::backend_calls`],
+/// [`McAnalysis::fixedpoint_iters`], [`McAnalysis::scenarios_pruned`],
+/// [`McAnalysis::warm_iters_saved`]) report the work *actually performed*
+/// and therefore change — still deterministically — with
+/// `warm_start`/`prune` (never with `scenario_threads`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisOptions {
     /// Seed each scenario fixed point from the normal-state solution
@@ -293,14 +298,21 @@ pub fn proposed_analysis<B: SchedBackend + Sync + ?Sized>(
 ///
 /// The enumeration runs in three deterministic stages: (1) classify every
 /// trigger's transition scenario into a bound vector and deduplicate the
-/// vectors (borrowed-slice lookups — the scratch vector is only cloned into
-/// the table on a miss); (2) when pruning is on, drop every vector that is
-/// pointwise dominated by another and remember its first *maximal*
-/// dominator; (3) run the backend once per surviving vector — warm-started
-/// from the normal-state solution when the vector contains the normal-state
-/// bounds — optionally fanned out over the order-preserving worker pool,
-/// then fold the worst case and resolve per-scenario diagnostics (pruned
+/// vectors; (2) when pruning is on, drop every vector that is pointwise
+/// dominated by another and remember its first *maximal* dominator; (3)
+/// run the backend once per surviving vector — warm-started from the
+/// normal-state solution when the vector contains the normal-state bounds
+/// — optionally fanned out over the order-preserving worker pool, then
+/// fold the worst case and resolve per-scenario diagnostics (pruned
 /// scenarios report their dominator's windows).
+///
+/// Stage (1) does not classify task by task per trigger. Every task other
+/// than the trigger is classified by two thresholds of the trigger alone —
+/// its normal-state `minStart` and `maxFinish` — and the tasks a threshold
+/// selects are a prefix (or suffix) of one order sorted once per analysis.
+/// So the pair of selected-set sizes is a key that fixes the whole vector
+/// up to the trigger's own entry: each key's vector and class counts are
+/// built once, and a trigger costs two binary searches (`DESIGN.md` §15).
 pub fn proposed_analysis_with<B: SchedBackend + Sync + ?Sized>(
     backend: &B,
     hsys: &HardenedSystem,
@@ -310,7 +322,7 @@ pub fn proposed_analysis_with<B: SchedBackend + Sync + ?Sized>(
     dropped: &[AppId],
     opts: AnalysisOptions,
 ) -> McAnalysis {
-    proposed_analysis_delta(backend, hsys, arch, mapping, nominal, dropped, opts, None).0
+    enumerate(backend, hsys, arch, mapping, nominal, dropped, opts, None).mc
 }
 
 /// [`proposed_analysis_with`] with incremental solution reuse. Its last
@@ -335,6 +347,68 @@ pub fn proposed_analysis_delta<B: SchedBackend + Sync + ?Sized>(
     opts: AnalysisOptions,
     parent: Option<&AnalysisSolutions>,
 ) -> (McAnalysis, AnalysisSolutions, usize) {
+    let e = enumerate(backend, hsys, arch, mapping, nominal, dropped, opts, parent);
+    let solutions = AnalysisSolutions {
+        normal_bounds: e.normal_bounds,
+        normal: e.mc.normal.clone(),
+        runs: e.runs,
+    };
+    (e.mc, solutions, e.reused)
+}
+
+/// One Algorithm 1 enumeration: the analysis plus, by move rather than by
+/// copy, the pieces [`proposed_analysis_delta`] captures.
+struct Enumeration {
+    mc: McAnalysis,
+    normal_bounds: Vec<ExecBounds>,
+    /// Every backend run performed: `(bound vector, windows, warmed)`.
+    runs: Vec<(Vec<ExecBounds>, TaskWindows, bool)>,
+    /// Backend runs satisfied from the parent's solutions.
+    reused: usize,
+}
+
+/// Class counts of one scenario, in the order normal, certainly dropped,
+/// in transition, critical.
+type ClassCounts = [usize; 4];
+const NORMAL: usize = 0;
+const DROPPED: usize = 1;
+const TRANSITION: usize = 2;
+const CRITICAL: usize = 3;
+
+/// The bound vector and class counts shared by every trigger with one
+/// threshold key, with the trigger treated like any other task.
+struct KeyedScenario {
+    bounds: Vec<ExecBounds>,
+    counts: ClassCounts,
+    /// Index of `bounds` among the distinct vectors, once a trigger used it
+    /// unpatched.
+    distinct: Option<usize>,
+}
+
+/// Returns the index of `bounds` among the distinct vectors interned so
+/// far, interning an owned copy on a miss (first-occurrence order).
+fn intern(index_of: &mut HashMap<Vec<ExecBounds>, usize>, bounds: Cow<'_, [ExecBounds]>) -> usize {
+    if let Some(&i) = index_of.get(bounds.as_ref()) {
+        return i;
+    }
+    let i = index_of.len();
+    index_of.insert(bounds.into_owned(), i);
+    i
+}
+
+/// The shared core of [`proposed_analysis_with`] and
+/// [`proposed_analysis_delta`].
+#[allow(clippy::too_many_arguments)]
+fn enumerate<B: SchedBackend + Sync + ?Sized>(
+    backend: &B,
+    hsys: &HardenedSystem,
+    arch: &Architecture,
+    mapping: &Mapping,
+    nominal: &[ExecBounds],
+    dropped: &[AppId],
+    opts: AnalysisOptions,
+    parent: Option<&AnalysisSolutions>,
+) -> Enumeration {
     let n = hsys.num_tasks();
     assert_eq!(nominal.len(), n, "one bound per hardened task required");
 
@@ -348,92 +422,121 @@ pub fn proposed_analysis_delta<B: SchedBackend + Sync + ?Sized>(
         None => (backend.analyze(&normal_bounds), false),
     };
 
-    let mut scenarios = 0usize;
-    let mut class_normal = 0usize;
-    let mut class_dropped = 0usize;
-    let mut class_transition = 0usize;
-    let mut class_critical = 0usize;
-    // Distinct bound-vectors, in first-occurrence order. Two triggers with
-    // identical windows produce identical scenarios; analyzing one suffices.
-    let mut index_of: HashMap<Vec<ExecBounds>, usize> = HashMap::new();
-    let mut distinct: Vec<Vec<ExecBounds>> = Vec::new();
-    // Per scenario: the trigger and its distinct-vector index.
-    let mut scenario_vec: Vec<(HTaskId, usize)> = Vec::new();
-    let mut scratch = vec![ExecBounds::ZERO; n];
-
-    for (v, vt) in hsys.tasks() {
-        if !vt.is_trigger() {
-            continue;
-        }
-        scenarios += 1;
-        let v_min_start = normal.min_start[v.index()];
-        let v_max_finish = normal.max_finish[v.index()];
-
-        for (w, wt) in hsys.tasks() {
-            if w == v {
-                // The trigger executes through its fault: full re-execution
-                // budget (Eq. 1). A passive trigger is invoked and runs.
-                // Exception: a trigger belonging to a *dropped* application
-                // is discarded instead of re-executed the moment its fault
-                // is detected — it runs at most its nominal execution.
-                let wcet = if dropped.contains(&wt.app) {
-                    nominal[w.index()].wcet
-                } else {
-                    critical_wcet(hsys, arch, mapping, v)
-                };
-                scratch[w.index()] = ExecBounds::new(
-                    if wt.is_passive() || dropped.contains(&wt.app) {
-                        Time::ZERO
-                    } else {
-                        nominal[w.index()].bcet
-                    },
-                    wcet,
-                );
-                class_critical += 1;
-                continue;
-            }
-            let w_normal = normal_bounds[w.index()];
-            if normal.max_finish[w.index()] < v_min_start {
-                // Completed before the fault: normal state.
-                scratch[w.index()] = w_normal;
-                class_normal += 1;
-            } else if dropped.contains(&wt.app) {
-                if normal.min_start[w.index()] > v_max_finish {
-                    // Starts after the transition completed: never released.
-                    scratch[w.index()] = ExecBounds::ZERO;
-                    class_dropped += 1;
-                } else {
-                    // Transition: either executed or dropped.
-                    scratch[w.index()] = ExecBounds::new(Time::ZERO, nominal[w.index()].wcet);
-                    class_transition += 1;
-                }
+    // Per task: membership in a dropped application, and the bounds it
+    // gets once the critical state may have begun — Eq. 1 for kept tasks
+    // (passive replicas may or may not be invoked: `[0, Eq. 1]`), `[0,
+    // wcet]` for tasks of dropped applications (executed or dropped). The
+    // latter is also a trigger's own entry: a trigger executes through its
+    // fault, except that one of a *dropped* application is discarded
+    // instead of re-executed the moment its fault is detected.
+    let is_dropped: Vec<bool> = hsys
+        .tasks()
+        .map(|(_, t)| dropped.contains(&t.app))
+        .collect();
+    let elevated: Vec<ExecBounds> = hsys
+        .tasks()
+        .map(|(w, wt)| {
+            if is_dropped[w.index()] {
+                ExecBounds::new(Time::ZERO, nominal[w.index()].wcet)
             } else {
-                class_critical += 1;
-                // Critical, non-droppable: may re-execute (Eq. 1); passive
-                // replicas may or may not be invoked.
                 let bcet = if wt.is_passive() {
                     Time::ZERO
                 } else {
                     nominal[w.index()].bcet
                 };
-                scratch[w.index()] = ExecBounds::new(bcet, critical_wcet(hsys, arch, mapping, w));
+                ExecBounds::new(bcet, critical_wcet(hsys, arch, mapping, w))
             }
+        })
+        .collect();
+    // The class of task `w` under trigger thresholds `(min_start, max_finish)`.
+    let class_of = |w: usize, v_min_start: Time, v_max_finish: Time| {
+        if normal.max_finish[w] < v_min_start {
+            NORMAL // completed before the fault could occur
+        } else if !is_dropped[w] {
+            CRITICAL // may re-execute (Eq. 1)
+        } else if normal.min_start[w] > v_max_finish {
+            DROPPED // starts after the transition completed: never released
+        } else {
+            TRANSITION // either executed or dropped
         }
+    };
+    // The tasks classified normal are a prefix of the ascending normal
+    // `maxFinish` order; the dropped-application tasks certainly dropped
+    // (before excluding the normal ones) are a suffix of their ascending
+    // normal `minStart` order. The two sizes key the whole classification.
+    let mut finishes = normal.max_finish.clone();
+    finishes.sort_unstable();
+    let mut dropped_starts: Vec<Time> = (0..n)
+        .filter(|&w| is_dropped[w])
+        .map(|w| normal.min_start[w])
+        .collect();
+    dropped_starts.sort_unstable();
 
-        // Borrowed lookup first; the scratch vector is cloned only when the
-        // vector has not been seen before.
-        let di = match index_of.get(scratch.as_slice()) {
-            Some(&i) => i,
-            None => {
-                let i = distinct.len();
-                distinct.push(scratch.clone());
-                index_of.insert(scratch.clone(), i);
-                i
+    let mut classes: ClassCounts = [0; 4];
+    let mut keyed: HashMap<(usize, usize), KeyedScenario> = HashMap::new();
+    // Distinct bound-vectors, indexed in first-occurrence order. Two
+    // triggers with identical windows produce identical scenarios;
+    // analyzing one suffices.
+    let mut index_of: HashMap<Vec<ExecBounds>, usize> = HashMap::new();
+    // Per scenario: the trigger and its distinct-vector index.
+    let mut scenario_vec: Vec<(HTaskId, usize)> = Vec::new();
+
+    for (v, vt) in hsys.tasks() {
+        if !vt.is_trigger() {
+            continue;
+        }
+        let v_min_start = normal.min_start[v.index()];
+        let v_max_finish = normal.max_finish[v.index()];
+        let key = (
+            finishes.partition_point(|&f| f < v_min_start),
+            dropped_starts.len() - dropped_starts.partition_point(|&s| s <= v_max_finish),
+        );
+        let scenario = keyed.entry(key).or_insert_with(|| {
+            let mut counts = [0; 4];
+            let bounds = (0..n)
+                .map(|w| {
+                    let class = class_of(w, v_min_start, v_max_finish);
+                    counts[class] += 1;
+                    match class {
+                        NORMAL => normal_bounds[w],
+                        DROPPED => ExecBounds::ZERO,
+                        _ => elevated[w],
+                    }
+                })
+                .collect();
+            KeyedScenario {
+                bounds,
+                counts,
+                distinct: None,
             }
+        });
+        for (total, c) in classes.iter_mut().zip(scenario.counts) {
+            *total += c;
+        }
+        // The trigger itself is classified critical whatever its class
+        // under the key.
+        classes[class_of(v.index(), v_min_start, v_max_finish)] -= 1;
+        classes[CRITICAL] += 1;
+        // The key's entry for the trigger is its own entry unless the
+        // normal windows put the trigger's `maxFinish` before its own
+        // `minStart`, which the backend contract does not rule out.
+        let di = if scenario.bounds[v.index()] == elevated[v.index()] {
+            let bounds = &scenario.bounds;
+            *scenario
+                .distinct
+                .get_or_insert_with(|| intern(&mut index_of, Cow::Borrowed(bounds)))
+        } else {
+            let mut patched = scenario.bounds.clone();
+            patched[v.index()] = elevated[v.index()];
+            intern(&mut index_of, Cow::Owned(patched))
         };
         scenario_vec.push((v, di));
     }
-    drop(index_of);
+    drop(keyed);
+    let mut distinct: Vec<Vec<ExecBounds>> = vec![Vec::new(); index_of.len()];
+    for (bounds, i) in index_of {
+        distinct[i] = bounds;
+    }
 
     // Dominance pruning: a vector pointwise dominated by another needs no
     // backend run — by monotonicity the dominating run's windows contain
@@ -480,11 +583,11 @@ pub fn proposed_analysis_delta<B: SchedBackend + Sync + ?Sized>(
     } else {
         to_run.iter().map(run_one).collect()
     };
-    let backend_reused =
+    let reused =
         usize::from(normal_reused) + results.iter().filter(|(_, _, reused)| *reused).count();
 
     // Fold the worst case over the runs actually performed and resolve the
-    // windows each distinct vector is bounded by.
+    // run each distinct vector is bounded by.
     let mut worst = normal.clone();
     let mut fixedpoint_iters = normal.outer_iters;
     let mut warm_iters_saved = 0usize;
@@ -512,45 +615,51 @@ pub fn proposed_analysis_delta<B: SchedBackend + Sync + ?Sized>(
         }
     }
 
+    // Per-application response times once per run, shared by every
+    // scenario the run bounds.
+    let run_app_wcrt: Vec<Vec<Time>> = results
+        .iter()
+        .map(|(windows, _, _)| {
+            hsys.apps()
+                .iter()
+                .map(|happ| windows.app_wcrt(hsys, happ.app))
+                .collect()
+        })
+        .collect();
     let scenario_app_wcrt = scenario_vec
         .iter()
         .map(|&(v, di)| {
-            let windows = &results[resolved[di].expect("all vectors resolved")].0;
-            (
-                v,
-                hsys.apps()
-                    .iter()
-                    .map(|happ| windows.app_wcrt(hsys, happ.app))
-                    .collect(),
-            )
+            let k = resolved[di].expect("all vectors resolved");
+            (v, run_app_wcrt[k].clone())
         })
         .collect();
 
-    let solutions = AnalysisSolutions {
-        runs: to_run
-            .iter()
-            .enumerate()
-            .map(|(k, &i)| (distinct[i].clone(), results[k].0.clone(), results[k].1))
-            .collect(),
-        normal: normal.clone(),
+    let backend_calls = 1 + to_run.len();
+    let runs = to_run
+        .iter()
+        .zip(results)
+        .map(|(&i, (windows, warmed, _))| (std::mem::take(&mut distinct[i]), windows, warmed))
+        .collect();
+    let [class_normal, class_dropped, class_transition, class_critical] = classes;
+    Enumeration {
+        mc: McAnalysis {
+            normal,
+            worst,
+            scenarios: scenario_vec.len(),
+            backend_calls,
+            scenario_app_wcrt,
+            class_normal,
+            class_dropped,
+            class_transition,
+            class_critical,
+            fixedpoint_iters,
+            scenarios_pruned: m - to_run.len(),
+            warm_iters_saved,
+        },
         normal_bounds,
-    };
-
-    let mc = McAnalysis {
-        normal,
-        worst,
-        scenarios,
-        backend_calls: 1 + to_run.len(),
-        scenario_app_wcrt,
-        class_normal,
-        class_dropped,
-        class_transition,
-        class_critical,
-        fixedpoint_iters,
-        scenarios_pruned: m - to_run.len(),
-        warm_iters_saved,
-    };
-    (mc, solutions, backend_reused)
+        runs,
+        reused,
+    }
 }
 
 /// The **Naive** analysis of §3/§5.1: a single backend run where every task
@@ -1035,6 +1144,83 @@ mod dedup_tests {
             "pruning must strictly reduce backend work ({} vs {})",
             fast.backend_calls,
             reference.backend_calls
+        );
+    }
+
+    /// A backend whose normal-state windows put the trigger's `maxFinish`
+    /// before its own `minStart` (the [`SchedBackend`] contract does not
+    /// rule that out); every other vector gets `maxFinish = wcet`. It
+    /// records each vector it is asked to analyze.
+    struct InvertedTrigger {
+        normal_bounds: Vec<ExecBounds>,
+        seen: std::sync::Mutex<Vec<Vec<ExecBounds>>>,
+    }
+
+    impl SchedBackend for InvertedTrigger {
+        fn analyze(&self, bounds: &[ExecBounds]) -> TaskWindows {
+            self.seen.lock().unwrap().push(bounds.to_vec());
+            let (min_start, max_finish) = if bounds == self.normal_bounds.as_slice() {
+                // Trigger `h` (task 0): minStart 50 > maxFinish 10.
+                (
+                    vec![Time::from_ticks(50), Time::ZERO],
+                    vec![Time::from_ticks(10), Time::from_ticks(100)],
+                )
+            } else {
+                (
+                    vec![Time::ZERO; bounds.len()],
+                    bounds.iter().map(|b| b.wcet).collect(),
+                )
+            };
+            TaskWindows {
+                min_start,
+                max_finish,
+                converged: true,
+                outer_iters: 1,
+            }
+        }
+
+        fn num_tasks(&self) -> usize {
+            self.normal_bounds.len()
+        }
+    }
+
+    /// Under its own thresholds the inverted trigger falls in the "completed
+    /// before the fault" class, so the keyed vector holds its normal bounds;
+    /// the trigger must still execute through its fault with its Eq. 1
+    /// bounds, and be counted critical.
+    #[test]
+    fn an_inverted_trigger_keeps_its_own_critical_entry() {
+        let (arch, hsys, mapping, _, _) = super::tests::mixed_system(false);
+        let nominal = nominal_bounds(&hsys, &arch, &mapping);
+        let backend = InvertedTrigger {
+            normal_bounds: normal_state_bounds(&hsys, &nominal),
+            seen: Default::default(),
+        };
+        let h = HTaskId::new(0);
+        let eq1 = ExecBounds::new(nominal[0].bcet, critical_wcet(&hsys, &arch, &mapping, h));
+        assert_ne!(eq1, nominal[0], "the trigger is re-execution hardened");
+        let mc = proposed_analysis_with(
+            &backend,
+            &hsys,
+            &arch,
+            &mapping,
+            &nominal,
+            &[],
+            AnalysisOptions::reference(),
+        );
+        let seen = backend.seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 2, "the normal state and one scenario");
+        assert_eq!(seen[1], vec![eq1, nominal[1]]);
+        assert_eq!(mc.worst.max_finish[0], eq1.wcet);
+        assert_eq!(mc.backend_calls, 2);
+        assert_eq!(
+            (
+                mc.class_normal,
+                mc.class_dropped,
+                mc.class_transition,
+                mc.class_critical
+            ),
+            (0, 0, 0, 2)
         );
     }
 

@@ -101,8 +101,10 @@ pub struct DseConfig {
     /// When `false`, the dropped set is forced empty (the paper's
     /// "without task dropping" comparison point).
     pub allow_dropping: bool,
-    /// When `true`, every candidate is additionally analyzed with an empty
-    /// dropped set so the §5.2 "rescued by dropping" ratio can be reported.
+    /// When `true`, the §5.2 "rescued by dropping" ratio is reported:
+    /// every candidate with a non-empty dropped set is audited, and the
+    /// feasible ones among them are additionally analyzed with an empty
+    /// dropped set (an infeasible candidate cannot be rescued).
     pub audit: bool,
     /// Per-processor scheduling policies (`None` = uniform fixed-priority
     /// preemptive).
@@ -312,6 +314,11 @@ impl AuditSnapshot {
 /// Cumulative scenario-analysis effort over every evaluated candidate —
 /// the aggregate view of the per-candidate `sched.analyze` telemetry.
 ///
+/// With [`DseConfig::audit`] on, the effort includes the §5.2 no-dropping
+/// re-analysis only for the candidates it actually ran on: feasible ones
+/// with a non-empty dropped set (an infeasible candidate is rescued by
+/// nothing, so its audit is skipped).
+///
 /// All fields except `analysis_nanos` are deterministic for a fixed
 /// configuration (replayed from cached [`EvalRecord`]s on hits, so thread
 /// count and cache capacity never shift them); `analysis_nanos` is wall
@@ -332,6 +339,10 @@ pub struct AnalysisStats {
     pub scenarios_pruned: u64,
     /// Estimated fixed-point sweeps avoided by warm-started runs.
     pub warm_iters_saved: u64,
+    /// Candidates whose reliability repair ran out of iterations (each is
+    /// penalized for every application the final reliability check still
+    /// finds above its failure-rate bound).
+    pub reliability_unmet: u64,
     /// Wall nanoseconds inside Algorithm 1 (fresh evaluations only —
     /// cache hits replay the nanos their miss originally spent).
     pub analysis_nanos: u64,
@@ -353,6 +364,7 @@ impl AnalysisStats {
             "analysis-stats: {} candidates, {} scenarios, {} backend calls\n\
              analysis-stats: fast path: {} scenarios pruned ({:.2} %), \
              {} warm iters saved, {} fixed-point iters total\n\
+             analysis-stats: {} candidates left reliability repair unmet\n\
              analysis-stats: {} ns inside Algorithm 1\n",
             self.candidates,
             self.scenarios,
@@ -361,6 +373,7 @@ impl AnalysisStats {
             100.0 * self.prune_rate(),
             self.warm_iters_saved,
             self.fixedpoint_iters,
+            self.reliability_unmet,
             self.analysis_nanos,
         )
     }
@@ -372,7 +385,7 @@ impl AnalysisStats {
             "{{\"candidates\":{},\"scenarios\":{},\"backend_calls\":{},\
              \"fixedpoint_iters\":{},\"scenarios_pruned\":{},\
              \"prune_rate\":{:.6},\"warm_iters_saved\":{},\
-             \"analysis_nanos\":{}}}",
+             \"reliability_unmet\":{},\"analysis_nanos\":{}}}",
             self.candidates,
             self.scenarios,
             self.backend_calls,
@@ -380,6 +393,7 @@ impl AnalysisStats {
             self.scenarios_pruned,
             self.prune_rate(),
             self.warm_iters_saved,
+            self.reliability_unmet,
             self.analysis_nanos,
         )
     }
@@ -400,6 +414,7 @@ struct Counters {
     an_fixedpoint_iters: AtomicU64,
     an_pruned: AtomicU64,
     an_warm_saved: AtomicU64,
+    an_reliability_unmet: AtomicU64,
     an_nanos: AtomicU64,
 }
 
@@ -459,6 +474,7 @@ struct SchedMetrics {
     scenarios: Arc<Counter>,
     backend_calls: Arc<Counter>,
     warm_iters_saved: Arc<Counter>,
+    reliability_unmet: Arc<Counter>,
     fixedpoint_iters: Arc<Histogram>,
     analysis_ns: Arc<Histogram>,
 }
@@ -470,6 +486,7 @@ impl SchedMetrics {
             scenarios: registry.counter("sched.scenarios", Class::Det),
             backend_calls: registry.counter("sched.backend_calls", Class::Det),
             warm_iters_saved: registry.counter("sched.warm_iters_saved", Class::Det),
+            reliability_unmet: registry.counter("repair.reliability_unmet", Class::Det),
             fixedpoint_iters: registry.histogram("sched.fixedpoint_iters", Class::Det),
             analysis_ns: registry.histogram("sched.analysis_ns", Class::Nondet),
         }
@@ -481,6 +498,7 @@ impl SchedMetrics {
         self.scenarios.add(e.scenarios as u64);
         self.backend_calls.add(e.backend_calls as u64);
         self.warm_iters_saved.add(e.warm_iters_saved as u64);
+        self.reliability_unmet.add(u64::from(r.reliability_unmet));
         self.fixedpoint_iters.observe(e.fixedpoint_iters as u64);
         self.analysis_ns.observe(r.analysis_nanos);
     }
@@ -500,6 +518,9 @@ struct EvalRecord {
     passive: usize,
     effort: AnalysisEffort,
     repair_codes: Vec<&'static str>,
+    /// `repair_reliability` ran out of iterations for this candidate.
+    /// Deterministic, so replayed on cache hits like the effort counters.
+    reliability_unmet: bool,
     /// Wall nanoseconds spent inside Algorithm 1 for this candidate
     /// (protocol analysis plus the optional no-dropping audit run).
     /// Timing, not content: replayed from the cache on hits, emitted only
@@ -675,6 +696,7 @@ struct Assessment {
     app_wcrt: Vec<Time>,
     effort: AnalysisEffort,
     repair_codes: Vec<&'static str>,
+    reliability_unmet: bool,
     analysis_nanos: u64,
 }
 
@@ -753,6 +775,7 @@ impl<'a> MappingProblem<'a> {
             fixedpoint_iters: self.counters.an_fixedpoint_iters.load(Ordering::Relaxed),
             scenarios_pruned: self.counters.an_pruned.load(Ordering::Relaxed),
             warm_iters_saved: self.counters.an_warm_saved.load(Ordering::Relaxed),
+            reliability_unmet: self.counters.an_reliability_unmet.load(Ordering::Relaxed),
             analysis_nanos: self.counters.an_nanos.load(Ordering::Relaxed),
         }
     }
@@ -902,6 +925,7 @@ impl<'a> MappingProblem<'a> {
             app_wcrt: vec![Time::MAX; self.apps.num_apps()],
             effort: AnalysisEffort::default(),
             repair_codes: repair_codes.clone(),
+            reliability_unmet: !rel_repaired,
             analysis_nanos: 0,
         };
 
@@ -983,7 +1007,16 @@ impl<'a> MappingProblem<'a> {
             }
         }
 
-        let rescued = if audit && !dropped.is_empty() {
+        let feasible = schedulable && penalty == 0.0;
+
+        // §5.2 audit: is the design feasible *only because* of dropping?
+        // An infeasible design is rescued by nothing, so the no-dropping
+        // re-analysis runs only for feasible ones.
+        let rescued = if !audit || dropped.is_empty() {
+            None
+        } else if !feasible {
+            Some(false)
+        } else {
             let t_audit = std::time::Instant::now();
             let mc0 = analyze(&[]);
             analysis_nanos += t_audit.elapsed().as_nanos() as u64;
@@ -995,10 +1028,7 @@ impl<'a> MappingProblem<'a> {
             effort.fixedpoint_iters += mc0.fixedpoint_iters;
             effort.scenarios_pruned += mc0.scenarios_pruned;
             effort.warm_iters_saved += mc0.warm_iters_saved;
-            let feasible_without = mc0.schedulable(&hsys, &[]);
-            Some(schedulable && penalty == 0.0 && !feasible_without)
-        } else {
-            None
+            Some(!mc0.schedulable(&hsys, &[]))
         };
 
         let power = expected_power(
@@ -1010,7 +1040,6 @@ impl<'a> MappingProblem<'a> {
             self.cfg.critical_weight,
         );
         let lost = lost_service(self.apps, &dropped);
-        let feasible = schedulable && penalty == 0.0;
 
         Assessment {
             dropped,
@@ -1023,6 +1052,7 @@ impl<'a> MappingProblem<'a> {
             app_wcrt,
             effort,
             repair_codes,
+            reliability_unmet: !rel_repaired,
             analysis_nanos,
         }
     }
@@ -1051,6 +1081,7 @@ impl<'a> MappingProblem<'a> {
             passive: a.histogram.passive,
             effort: a.effort,
             repair_codes: a.repair_codes,
+            reliability_unmet: a.reliability_unmet,
             analysis_nanos: a.analysis_nanos,
         }
     }
@@ -1093,6 +1124,9 @@ impl<'a> MappingProblem<'a> {
             .an_warm_saved
             .fetch_add(e.warm_iters_saved as u64, Ordering::Relaxed);
         self.counters
+            .an_reliability_unmet
+            .fetch_add(u64::from(r.reliability_unmet), Ordering::Relaxed);
+        self.counters
             .an_nanos
             .fetch_add(r.analysis_nanos, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
@@ -1104,21 +1138,27 @@ impl<'a> MappingProblem<'a> {
             // hence for any thread count or cache capacity. The wall time
             // of the analysis is timing, not content — it rides in the
             // non-deterministic payload (and replays from the cached
-            // record, like the effort counters).
+            // record, like the effort counters). `reliability_unmet` is
+            // emitted only when set, so it marks the candidates whose
+            // reliability repair gave up.
+            let mut fields = vec![
+                ("scenarios", Value::from(e.scenarios)),
+                ("backend_calls", Value::from(e.backend_calls)),
+                ("fixedpoint_iters", Value::from(e.fixedpoint_iters)),
+                ("scenarios_pruned", Value::from(e.scenarios_pruned)),
+                ("warm_iters_saved", Value::from(e.warm_iters_saved)),
+                ("class_normal", Value::from(e.class_normal)),
+                ("class_dropped", Value::from(e.class_dropped)),
+                ("class_transition", Value::from(e.class_transition)),
+                ("class_critical", Value::from(e.class_critical)),
+                ("feasible", Value::from(r.eval.feasible)),
+            ];
+            if r.reliability_unmet {
+                fields.push(("reliability_unmet", Value::from(true)));
+            }
             self.cfg.obs.counter_with_nondet(
                 "sched.analyze",
-                &[
-                    ("scenarios", Value::from(e.scenarios)),
-                    ("backend_calls", Value::from(e.backend_calls)),
-                    ("fixedpoint_iters", Value::from(e.fixedpoint_iters)),
-                    ("scenarios_pruned", Value::from(e.scenarios_pruned)),
-                    ("warm_iters_saved", Value::from(e.warm_iters_saved)),
-                    ("class_normal", Value::from(e.class_normal)),
-                    ("class_dropped", Value::from(e.class_dropped)),
-                    ("class_transition", Value::from(e.class_transition)),
-                    ("class_critical", Value::from(e.class_critical)),
-                    ("feasible", Value::from(r.eval.feasible)),
-                ],
+                &fields,
                 &[("analysis_ns", Value::from(r.analysis_nanos))],
             );
             if !r.repair_codes.is_empty() {
@@ -2048,6 +2088,42 @@ mod tests {
         assert!(rendered.contains("ga.seed"));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(mcmap_resilience::backup_path(&path));
+    }
+
+    /// The §5.2 audit re-analyzes only feasible candidates: an infeasible
+    /// one is rescued by nothing, so it records `Some(false)` at no extra
+    /// effort, while a feasible one with a dropped set is still audited.
+    #[test]
+    fn the_audit_runs_only_where_it_can_rescue() {
+        let (apps, arch) = small_system();
+        let problem = MappingProblem::new(&apps, &arch, tiny_cfg());
+        let mut rng = StdRng::seed_from_u64(29);
+        let (mut skipped, mut audited) = (0, 0);
+        for _ in 0..400 {
+            let g = problem.space().random(&mut rng);
+            let plain = problem.assess(&g, false);
+            if plain.dropped.is_empty() {
+                continue;
+            }
+            let unschedulable = apps.app_ids().any(|a| {
+                !plain.dropped.contains(&a) && plain.app_wcrt[a.index()] > apps.app(a).deadline()
+            });
+            let with_audit = problem.assess(&g, true);
+            if unschedulable {
+                assert!(!plain.feasible);
+                assert_eq!(with_audit.rescued, Some(false));
+                assert_eq!(with_audit.effort, plain.effort);
+                skipped += 1;
+            } else if plain.feasible {
+                assert!(with_audit.rescued.is_some());
+                assert!(with_audit.effort.backend_calls > plain.effort.backend_calls);
+                audited += 1;
+            }
+        }
+        assert!(
+            skipped > 0 && audited > 0,
+            "{skipped} skipped, {audited} audited"
+        );
     }
 
     #[test]

@@ -3,15 +3,18 @@
 //! simulated response times on randomized systems and failure profiles.
 
 use mcmap_core::{
-    analyze, analyze_naive, proposed_analysis_delta, repair_reliability, repair_structure,
-    AnalysisOptions, AnalysisSolutions, GenomeSpace, McAnalysis,
+    analyze, analyze_naive, analyze_with, normal_state_bounds, proposed_analysis_delta,
+    repair_reliability, repair_structure, AnalysisOptions, AnalysisSolutions, GenomeSpace,
+    McAnalysis,
 };
-use mcmap_hardening::{harden, HardenedSystem, HardeningPlan, TaskHardening};
+use mcmap_hardening::{harden, HTaskId, HardenedSystem, HardeningPlan, TaskHardening};
 use mcmap_model::{
     AppId, AppSet, Architecture, Criticality, ExecBounds, Fabric, ProcId, ProcKind, Processor,
     Task, TaskGraph, Time,
 };
-use mcmap_sched::{nominal_bounds, uniform_policies, HolisticAnalysis, Mapping, SchedPolicy};
+use mcmap_sched::{
+    nominal_bounds, uniform_policies, HolisticAnalysis, Mapping, SchedBackend, SchedPolicy,
+};
 use mcmap_sim::{RandomFaults, SimConfig, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -60,6 +63,150 @@ fn solve_with_parent(
     proposed_analysis_delta(
         &backend, hsys, arch, mapping, &nominal, dropped, opts, parent,
     )
+}
+
+/// Algorithm 1 as it was written before its threshold-keyed scenario
+/// dedup: every trigger classifies every task, and the scenario vectors
+/// are deduplicated by value. Dominance pruning, warm starts and the
+/// worst-case fold follow the same rules as the library's enumeration,
+/// written out plainly. The library must reproduce this oracle field for
+/// field, effort counters included.
+fn per_trigger_reference(
+    hsys: &HardenedSystem,
+    arch: &Architecture,
+    mapping: &Mapping,
+    policies: &[SchedPolicy],
+    dropped: &[AppId],
+    opts: AnalysisOptions,
+) -> McAnalysis {
+    let backend = HolisticAnalysis::new(hsys, arch, mapping, policies.to_vec());
+    let nominal = nominal_bounds(hsys, arch, mapping);
+    let n = hsys.num_tasks();
+    let normal_bounds = normal_state_bounds(hsys, &nominal);
+    let normal = backend.analyze(&normal_bounds);
+    let eq1 = |w: HTaskId| {
+        let kind = arch.processor(mapping.proc_of(w)).kind;
+        hsys.task(w).critical_wcet(kind).expect("kind-compatible")
+    };
+    let dominates = |a: &[ExecBounds], b: &[ExecBounds]| {
+        a.iter()
+            .zip(b)
+            .all(|(x, y)| x.bcet <= y.bcet && x.wcet >= y.wcet)
+    };
+
+    // [normal, certainly dropped, in transition, critical]
+    let mut classes = [0usize; 4];
+    let mut distinct: Vec<Vec<ExecBounds>> = Vec::new();
+    let mut scenario_vec: Vec<(HTaskId, usize)> = Vec::new();
+    for (v, vt) in hsys.tasks() {
+        if !vt.is_trigger() {
+            continue;
+        }
+        let (v_min_start, v_max_finish) = normal.window(v);
+        let mut bounds = vec![ExecBounds::ZERO; n];
+        for (w, wt) in hsys.tasks() {
+            let i = w.index();
+            let in_dropped = dropped.contains(&wt.app);
+            let kept_bcet = if wt.is_passive() {
+                Time::ZERO
+            } else {
+                nominal[i].bcet
+            };
+            bounds[i] = if w == v {
+                classes[3] += 1;
+                if in_dropped {
+                    ExecBounds::new(Time::ZERO, nominal[i].wcet)
+                } else {
+                    ExecBounds::new(kept_bcet, eq1(w))
+                }
+            } else if normal.max_finish[i] < v_min_start {
+                classes[0] += 1;
+                normal_bounds[i]
+            } else if in_dropped {
+                if normal.min_start[i] > v_max_finish {
+                    classes[1] += 1;
+                    ExecBounds::ZERO
+                } else {
+                    classes[2] += 1;
+                    ExecBounds::new(Time::ZERO, nominal[i].wcet)
+                }
+            } else {
+                classes[3] += 1;
+                ExecBounds::new(kept_bcet, eq1(w))
+            };
+        }
+        let di = match distinct.iter().position(|d| *d == bounds) {
+            Some(i) => i,
+            None => {
+                distinct.push(bounds);
+                distinct.len() - 1
+            }
+        };
+        scenario_vec.push((v, di));
+    }
+
+    let m = distinct.len();
+    let to_run: Vec<usize> = (0..m)
+        .filter(|&i| {
+            !opts.prune || !(0..m).any(|j| j != i && dominates(&distinct[j], &distinct[i]))
+        })
+        .collect();
+    let mut worst = normal.clone();
+    let mut fixedpoint_iters = normal.outer_iters;
+    let mut warm_iters_saved = 0;
+    let mut runs = Vec::new();
+    for &i in &to_run {
+        let warmed = opts.warm_start && normal.converged && dominates(&distinct[i], &normal_bounds);
+        let w = if warmed {
+            backend.analyze_from(&distinct[i], &normal)
+        } else {
+            backend.analyze(&distinct[i])
+        };
+        fixedpoint_iters += w.outer_iters;
+        if warmed {
+            warm_iters_saved += normal.outer_iters.saturating_sub(w.outer_iters);
+        }
+        worst.converged &= w.converged;
+        for t in 0..n {
+            worst.max_finish[t] = worst.max_finish[t].max(w.max_finish[t]);
+            worst.min_start[t] = worst.min_start[t].min(w.min_start[t]);
+        }
+        runs.push(w);
+    }
+    let scenario_app_wcrt = scenario_vec
+        .iter()
+        .map(|&(v, di)| {
+            let k = to_run
+                .iter()
+                .position(|&j| j == di)
+                .or_else(|| {
+                    to_run
+                        .iter()
+                        .position(|&j| dominates(&distinct[j], &distinct[di]))
+                })
+                .expect("a run bounds every scenario");
+            let wcrt = hsys
+                .apps()
+                .iter()
+                .map(|happ| runs[k].app_wcrt(hsys, happ.app))
+                .collect();
+            (v, wcrt)
+        })
+        .collect();
+    McAnalysis {
+        normal,
+        worst,
+        scenarios: scenario_vec.len(),
+        backend_calls: 1 + to_run.len(),
+        scenario_app_wcrt,
+        class_normal: classes[0],
+        class_dropped: classes[1],
+        class_transition: classes[2],
+        class_critical: classes[3],
+        fixedpoint_iters,
+        scenarios_pruned: m - to_run.len(),
+        warm_iters_saved,
+    }
 }
 
 fn build(
@@ -292,6 +439,35 @@ proptest! {
         for i in 0..hsys.num_tasks() {
             prop_assert!(mc.worst.max_finish[i] >= mc.normal.max_finish[i]);
             prop_assert!(mc.worst.min_start[i] <= mc.normal.min_start[i]);
+        }
+    }
+
+    /// The threshold-keyed scenario dedup is exact: on random systems
+    /// (re-executed and fully replicated) under a random dropped set, the
+    /// library's analysis equals the per-trigger classification oracle in
+    /// every field — windows, per-scenario diagnostics, class counts and
+    /// effort counters — with and without warm starts and pruning.
+    #[test]
+    fn keyed_dedup_matches_the_per_trigger_oracle(
+        d in desc_strategy(),
+        drop_mask in any::<u8>(),
+        replicated in any::<bool>(),
+    ) {
+        let (arch, apps, hsys, mapping, policies, _) =
+            if replicated { build_replicated(&d) } else { build(&d) };
+        let dropped: Vec<AppId> =
+            apps.app_ids().filter(|a| drop_mask & (1 << a.index()) != 0).collect();
+        for opts in [
+            AnalysisOptions::default(),
+            AnalysisOptions::reference(),
+            AnalysisOptions { prune: false, ..AnalysisOptions::default() },
+        ] {
+            let oracle = per_trigger_reference(&hsys, &arch, &mapping, &policies, &dropped, opts);
+            let keyed = analyze_with(&hsys, &arch, &mapping, &policies, &dropped, opts);
+            prop_assert_eq!(&keyed, &oracle, "{:?}", opts);
+            let (captured, _, _) =
+                solve_with_parent(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
+            prop_assert_eq!(&captured, &oracle, "captured ({:?})", opts);
         }
     }
 

@@ -212,6 +212,7 @@ impl JobTotals {
         a.fixedpoint_iters += analysis.fixedpoint_iters;
         a.scenarios_pruned += analysis.scenarios_pruned;
         a.warm_iters_saved += analysis.warm_iters_saved;
+        a.reliability_unmet += analysis.reliability_unmet;
         a.analysis_nanos += analysis.analysis_nanos;
     }
 }

@@ -119,6 +119,7 @@ pub fn render_status(job: &Json) -> String {
                 "fixedpoint_iters",
                 "scenarios_pruned",
                 "warm_iters_saved",
+                "reliability_unmet",
             ],
             &mut out,
         );

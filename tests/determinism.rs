@@ -413,3 +413,55 @@ fn audited_fleet_front_matches_its_golden_digest() {
         "770366bb94ef15ae"
     );
 }
+
+/// Reliability repair that runs out of iterations is counted, not lost:
+/// with no repair budget most fleet candidates stay above a failure-rate
+/// bound, and the count is the same in `AnalysisStats`, the telemetry
+/// registry and the `sched.analyze` trace for any thread count and with
+/// the memo cache off.
+#[test]
+fn unmet_reliability_repairs_are_counted_identically_at_any_threads_and_cache() {
+    let preset = mcmap::benchmarks::fleet_small_config();
+    let b = mcmap::benchmarks::fleet(&preset, 3);
+    let run = |threads: usize, cache_cap: usize| {
+        let telemetry = Registry::new();
+        let outcome = explore(
+            &b.apps,
+            &b.arch,
+            DseConfig {
+                ga: GaConfig {
+                    population: 6,
+                    generations: 1,
+                    seed: 3,
+                    threads,
+                    ..GaConfig::default()
+                },
+                objectives: ObjectiveMode::PowerService,
+                policies: Some(b.policies.clone()),
+                repair_iters: 0,
+                max_reexec: preset.max_reexec,
+                max_replicas: preset.max_replicas,
+                cache_cap,
+                obs: Recorder::ring(1 << 16),
+                telemetry: telemetry.clone(),
+                ..DseConfig::default()
+            },
+        );
+        let traced = outcome
+            .obs
+            .events()
+            .iter()
+            .filter(|e| e.name == "sched.analyze" && e.field("reliability_unmet").is_some())
+            .count() as u64;
+        let registered = telemetry
+            .counter("repair.reliability_unmet", mcmap::telemetry::Class::Det)
+            .get();
+        (outcome.analysis.reliability_unmet, registered, traced)
+    };
+    let serial = run(1, 65_536);
+    assert!(serial.0 > 0, "a zero repair budget leaves bounds unmet");
+    assert_eq!(serial.0, serial.1, "registry counter");
+    assert_eq!(serial.0, serial.2, "sched.analyze events");
+    assert_eq!(run(2, 65_536), serial, "2 threads");
+    assert_eq!(run(1, 0), serial, "cache off");
+}
